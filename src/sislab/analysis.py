@@ -3,8 +3,11 @@ classification, and truncation-frequency tables.
 
 Everything here is deterministic given (base_seed, n_paths): paths are keyed
 by absolute path index, partial results land in preallocated per-path arrays,
-and reductions run once over those arrays in index order. Chunk size and
-thread count therefore change memory use and wall time, never the numbers.
+and reductions run once over those arrays in index order. Each path's stream
+is drawn once, forward in fixed time blocks, and the kernels carry their
+per-row states from block to block, so memory per chunk is bounded by chunk
+times block whatever the horizon. Chunk size, time blocks and thread count
+change memory use and wall time, never the numbers.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .model import (
     persistence_lambda,
     reproduction_numbers,
 )
-from .paths import generate
-from .schemes import SchemeParams, lcm_evolve, milstein_evolve
+from .paths import PathStreams, generate
+from .schemes import SchemeParams, Trajectory, lcm_evolve, milstein_evolve
 
 __all__ = [
     "DynamicsThresholds",
@@ -34,6 +37,7 @@ __all__ = [
     "classify_dynamics",
     "count_crossings",
     "fit_rate",
+    "lcm_trajectories",
     "milstein_violation_fraction",
     "strong_error",
     "truncation_table",
@@ -81,6 +85,17 @@ def fit_rate(table):
     return RateFit(q=q, residual=float(np.dot(resid, resid)))
 
 
+# Steps per time block (a power of two, so it holds whole coarse steps of
+# every dyadic level up to its own length).
+_BLOCK = 4096
+# truncation_table scales a copy of each block for every cell and runs wide
+# chunks (its steps are cheap, so per-step dispatch dominates), so it steps in
+# short blocks: chunk x block stays about 10^6 doubles.
+_TRUNCATION_BLOCK = 128
+# Paths per recording lcm_evolve call in lcm_trajectories.
+_TRAJECTORY_GROUP = 25
+
+
 def _chunk_spans(n, size):
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
@@ -96,13 +111,6 @@ def _run_chunks(worker, n, size, threads):
             worker(lo, hi)
 
 
-def _increment_matrix(base_seed, lo, hi, t_final, fine_steps):
-    dw = np.empty((hi - lo, fine_steps))
-    for j in range(lo, hi):
-        dw[j - lo] = generate(base_seed, j, t_final, fine_steps).increments
-    return dw
-
-
 def _whole_steps(t_final, h, what):
     steps = round(t_final / h)
     if steps < 1 or not math.isclose(steps * h, t_final, rel_tol=1e-9):
@@ -111,7 +119,7 @@ def _whole_steps(t_final, h, what):
 
 
 def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
-                 threads=1, chunk=512):
+                 threads=1, chunk=1024):
     """Coupled-path strong errors of the log-space scheme at several step sizes.
 
     Every level reuses the same fine Brownian increments as the reference run
@@ -133,16 +141,25 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
         ratios.append(r)
 
     y0 = math.log(params.I0)
+    schemes = [replace(scheme_ref, h=L) for L in levels]
+    block = max([_BLOCK, *ratios])  # whole coarse steps of every level
     gap2 = np.empty((len(levels), n_paths))
 
     def worker(lo, hi):
-        dwf = _increment_matrix(base_seed, lo, hi, t_final, fine_steps)
-        ref = lcm_evolve(y0, dwf, h_ref, params, scheme_ref)
-        iref = np.exp(ref.y_final)
-        for li, (L, r) in enumerate(zip(levels, ratios)):
-            dwl = dwf if r == 1 else dwf.reshape(hi - lo, -1, r).sum(axis=2)
-            out = lcm_evolve(y0, dwl, L, params, replace(scheme_ref, h=L))
-            gap2[li, lo:hi] = (iref - np.exp(out.y_final)) ** 2
+        streams = PathStreams(base_seed, lo, hi)
+        y_ref = y0
+        y_lev = [y0] * len(levels)
+        for start in range(0, fine_steps, block):
+            dwf = streams.increments(min(block, fine_steps - start),
+                                     t_final / fine_steps)
+            y_ref = lcm_evolve(y_ref, dwf, h_ref, params, scheme_ref).y_final
+            for li, (s, r) in enumerate(zip(schemes, ratios)):
+                # contiguous cell sums: any other summation axis changes bits
+                dwl = dwf if r == 1 else dwf.reshape(hi - lo, -1, r).sum(axis=2)
+                y_lev[li] = lcm_evolve(y_lev[li], dwl, s.h, params, s).y_final
+        iref = np.exp(y_ref)
+        for li, y in enumerate(y_lev):
+            gap2[li, lo:hi] = (iref - np.exp(y)) ** 2
 
     _run_chunks(worker, n_paths, chunk, threads)
     errors = tuple(math.sqrt(float(np.mean(gap2[li])))
@@ -152,16 +169,22 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
 
 
 def milstein_violation_fraction(params, h, t_final, n_paths, base_seed,
-                                threads=1, chunk=128):
+                                threads=1, chunk=1024):
     """Fraction of direct-Milstein paths that ever produce a forbidden state
     (negative, above N, or non-finite) before t_final."""
     steps = _whole_steps(t_final, float(h), "t_final")
     violated = np.empty(n_paths, dtype=bool)
 
     def worker(lo, hi):
-        dw = _increment_matrix(base_seed, lo, hi, t_final, steps)
-        out = milstein_evolve(params.I0, dw, float(h), params, record_stride=None)
-        violated[lo:hi] = out.violated
+        streams = PathStreams(base_seed, lo, hi)
+        state = params.I0
+        hit = np.zeros(hi - lo, dtype=bool)
+        for start in range(0, steps, _BLOCK):
+            dw = streams.increments(min(_BLOCK, steps - start), t_final / steps)
+            out = milstein_evolve(state, dw, float(h), params, record_stride=None)
+            state = out.i_final
+            hit |= out.violated
+        violated[lo:hi] = hit
 
     _run_chunks(worker, n_paths, chunk, threads)
     return float(violated.mean())
@@ -178,12 +201,15 @@ class TruncationTable:
 
 
 def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
-                     threads=1, chunk=2048, alpha=0.1, theta=2.0, labels=None):
+                     threads=1, chunk=8192, alpha=0.1, theta=2.0, labels=None):
     """Percentage of steps the log-space scheme truncates, per parameter set,
     initial value, and step size.
 
     The denominator is total steps taken (n_paths times steps per path), so a
-    path that truncates every other step contributes 50.
+    path that truncates every other step contributes 50. Each path is drawn
+    once, at the largest step count; a cell with fewer steps runs on a prefix
+    of those normals, scaled to its step size, which is that step size's
+    whole-path draw bit for bit.
     """
     param_sets = list(param_sets)
     I0s = tuple(float(x) for x in I0s)
@@ -191,25 +217,61 @@ def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
     if labels is None:
         labels = tuple(range(1, len(param_sets) + 1))
     percent = np.empty((len(param_sets), len(I0s), len(hs)))
-
+    cells = []  # (table index, model, scheme, start state, steps)
     for si, p0 in enumerate(param_sets):
         for ii, i0 in enumerate(I0s):
-            p = replace(p0, I0=i0)
-            y0 = math.log(i0)
             for hi_, h in enumerate(hs):
-                steps = _whole_steps(horizon, h, "horizon")
-                s = SchemeParams(h=h, alpha=alpha, theta=theta)
-                counts = np.zeros(n_paths, dtype=np.int64)
+                cells.append(((si, ii, hi_), replace(p0, I0=i0),
+                              SchemeParams(h=h, alpha=alpha, theta=theta),
+                              math.log(i0), _whole_steps(horizon, h, "horizon")))
+    longest = max((steps for *_, steps in cells), default=0)
+    counts = np.zeros((len(cells), n_paths), dtype=np.int64)
 
-                def worker(lo, hi):
-                    dw = _increment_matrix(base_seed, lo, hi, horizon, steps)
-                    out = lcm_evolve(y0, dw, h, p, s)
-                    counts[lo:hi] = out.trunc_counts
+    def worker(lo, hi):
+        streams = PathStreams(base_seed, lo, hi)
+        states = [y0 for _, _, _, y0, _ in cells]
+        for start in range(0, longest, _TRUNCATION_BLOCK):
+            # step-major once per block, so that no cell's kernel transposes
+            z = np.ascontiguousarray(
+                streams.normals(min(_TRUNCATION_BLOCK, longest - start)).T)
+            for c, (_, p, s, _, steps) in enumerate(cells):
+                if steps <= start:
+                    continue
+                dw = z[:steps - start] * math.sqrt(horizon / steps)
+                out = lcm_evolve(states[c], dw.T, s.h, p, s)
+                states[c] = out.y_final
+                counts[c, lo:hi] += out.trunc_counts
 
-                _run_chunks(worker, n_paths, chunk, threads)
-                percent[si, ii, hi_] = 100.0 * counts.sum() / (n_paths * steps)
+    _run_chunks(worker, n_paths, chunk, threads)
+    for c, (index, _, _, _, steps) in enumerate(cells):
+        percent[index] = 100.0 * counts[c].sum() / (n_paths * steps)
     return TruncationTable(percent=percent, hs=hs, I0s=I0s,
                            labels=tuple(labels))
+
+
+def lcm_trajectories(params, scheme, t_final, n_paths, base_seed):
+    """Recorded log-space trajectories of paths 0 .. n_paths - 1, yielded as
+    (path_index, Trajectory) in index order.
+
+    Each path's increments come from generate, and each group of paths is
+    stepped by one recording lcm_evolve call, so every trajectory equals, bit
+    for bit, lcm_simulate on that path's own draw.
+    """
+    steps = _whole_steps(t_final, scheme.h, "t_final")
+    h = t_final / steps  # the grid's own step, as lcm_simulate checks it
+    y0 = math.log(params.I0)
+    for lo in range(0, n_paths, _TRAJECTORY_GROUP):
+        group = range(lo, min(lo + _TRAJECTORY_GROUP, n_paths))
+        dw = np.stack([generate(base_seed, j, t_final, steps).increments
+                       for j in group])
+        out = lcm_evolve(y0, dw, h, params, scheme, record_stride=1,
+                         record_flags=True)
+        for row, j in enumerate(group):
+            y = out.y_snaps[row]
+            yield j, Trajectory(
+                times=np.arange(steps + 1) * h, values=np.exp(y), log_values=y,
+                truncated=np.concatenate([[False], out.flags[row]]),
+                truncation_count=int(out.trunc_counts[row]))
 
 
 def count_crossings(values, level):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from .analysis import (
     classify_dynamics,
     fit_rate,
+    lcm_trajectories,
     strong_error,
     truncation_table,
     write_dynamics_summary,
@@ -247,6 +248,13 @@ def _resolve_seed(args, cfg):
     return args.seed if args.seed is not None else cfg.base_seed
 
 
+def _resolve_paths(args, default):
+    n_paths = args.paths if args.paths is not None else default
+    if n_paths <= 0:
+        raise ConfigError(f"path count must be positive, got {n_paths}")
+    return n_paths
+
+
 def cmd_simulate(args):
     cfg = parse_config(args.config)
     seed = _resolve_seed(args, cfg)
@@ -284,7 +292,7 @@ def cmd_convergence(args):
     if not cfg.levels or cfg.h_reference is None:
         raise ConfigError(
             "missing [convergence] section with levels and h_reference")
-    n_paths = args.paths if args.paths is not None else cfg.n_paths
+    n_paths = _resolve_paths(args, cfg.n_paths)
     s_ref = SchemeParams(h=cfg.h_reference, alpha=cfg.scheme.alpha,
                          theta=cfg.scheme.theta)
     table = strong_error(cfg.model, s_ref, levels=cfg.levels, n_paths=n_paths,
@@ -322,21 +330,16 @@ def cmd_dynamics(args):
             "parameters fall in neither the extinction nor the persistence "
             "regime; long-run classification is undefined here")
     seed = _resolve_seed(args, cfg)
-    n_seeds = args.paths if args.paths is not None else cfg.n_seeds
+    n_seeds = _resolve_paths(args, cfg.n_seeds)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     for h in cfg.dyn_step_sizes:
-        steps = _whole_steps(cfg.t_final, h, "t_final")
-        s = replace(cfg.scheme, h=h)
-        rows = []
-        matched = 0
-        for idx in range(n_seeds):
-            grid = generate(base_seed=seed, path_index=idx,
-                            t_final=cfg.t_final, fine_steps=steps)
-            verdict = classify_dynamics(
-                lcm_simulate(coarsen(grid, 0), cfg.model, s), cfg.model)
-            rows.append((idx, verdict))
-            matched += verdict.kind == expected
+        _whole_steps(cfg.t_final, h, "t_final")  # reject a bad horizon as config
+        trajectories = lcm_trajectories(cfg.model, replace(cfg.scheme, h=h),
+                                        cfg.t_final, n_seeds, seed)
+        rows = [(idx, classify_dynamics(traj, cfg.model))
+                for idx, traj in trajectories]
+        matched = sum(verdict.kind == expected for _, verdict in rows)
         with open(os.path.join(outdir, f"dynamics_{_h_label(h)}.csv"), "w") as fh:
             write_dynamics_summary(rows, fh)
         print(f"h = {_format_float(h)}: {matched}/{n_seeds} runs {expected}")
@@ -349,7 +352,7 @@ def cmd_truncation(args):
         raise ConfigError("missing [truncation] section with step_sizes")
     seed = _resolve_seed(args, cfg)
     threads = _resolve_threads(args)
-    n_paths = args.paths if args.paths is not None else cfg.n_paths
+    n_paths = _resolve_paths(args, cfg.n_paths)
     sets = cfg.sets or ((1, cfg.model),)
     horizon = cfg.horizon if cfg.horizon is not None else cfg.t_final
     tbl = truncation_table([mp for _, mp in sets],

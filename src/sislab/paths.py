@@ -3,7 +3,9 @@ coarsening and a small binary dump format.
 
 Every path is an independent counter-based stream keyed by
 (base_seed, path_index), so a path's draws never depend on how many other
-paths were generated, in which order, or on which worker thread.
+paths were generated, in which order, or on which worker thread. The same
+streams can be read forward in time blocks (PathStreams), and blocks of any
+lengths concatenate, bit for bit, to the whole-path draw of generate.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "BrownianGrid",
     "LevyAreaIncrement",
     "LevyIncrements",
+    "PathStreams",
     "coarsen",
     "generate",
     "load_increments",
@@ -64,6 +67,35 @@ def generate(base_seed, path_index, t_final, fine_steps):
     inc = path_rng(base_seed, path_index).standard_normal(fine_steps) * math.sqrt(h)
     return BrownianGrid(t_final=t_final, fine_steps=fine_steps, increments=inc,
                         seed_record=(base_seed % 2**64, path_index % 2**64))
+
+
+class PathStreams:
+    """The streams of paths lo .. hi - 1 under one base seed, read forward in
+    time blocks.
+
+    Row j of every block is path lo + j, and each call continues every stream
+    where the previous call stopped. Philox is counter-based, so blocks of any
+    lengths, concatenated, equal one whole-path draw bit for bit: the blocks
+    of increments(count, t_final / steps) make up what generate(base_seed, j,
+    t_final, steps) returns, and a prefix of the normals is the draw of a
+    shorter horizon.
+    """
+
+    def __init__(self, base_seed, lo, hi):
+        self._rngs = [path_rng(base_seed, j) for j in range(lo, hi)]
+
+    def normals(self, count):
+        """The next count standard normals of every path, shape (rows, count)."""
+        out = np.empty((len(self._rngs), count))
+        for row, rng in zip(out, self._rngs):
+            rng.standard_normal(out=row)
+        return out
+
+    def increments(self, count, h):
+        """The next count increments N(0, h) of every path, shape (rows, count)."""
+        out = self.normals(count)
+        out *= math.sqrt(h)
+        return out
 
 
 @dataclass(frozen=True)

@@ -108,11 +108,15 @@ class LcmBatch:
 
 
 def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
-    """Evolve a batch of log-space paths from the common state y0.
+    """Evolve a batch of log-space paths from y0, one start state per row or
+    a scalar shared by all rows.
 
     dw has one row per path and one column per step; dZeta is rebuilt from dw
     internally. With record_stride=r, y_snaps holds every r-th state including
     the initial one; with record_flags=True, flags marks each truncated step.
+    A run split at any step and resumed from y_final equals one call bit for
+    bit (trunc_counts add up), so callers may feed increments in time blocks.
+    Non-finite start states or increments raise ValueError.
     """
     if h != s.h:
         raise ValueError(f"step size {h} disagrees with scheme step {s.h}")
@@ -121,7 +125,9 @@ def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
     log_n = math.log(p.N)
     reset = log_n - s.alpha * s.h**s.theta
 
-    y = np.full(n_paths, np.float64(y0))
+    y = np.full(n_paths, y0, dtype=np.float64)
+    if not (np.isfinite(y).all() and np.isfinite(dw).all()):
+        raise ValueError("start states and increments must be finite")
     counts = np.zeros(n_paths, dtype=np.int64)
     flags = np.zeros((n_paths, steps), dtype=bool) if record_flags else None
     snaps = None
@@ -136,9 +142,9 @@ def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
     for k in range(steps):
         w = dw_cols[k]
         dz = 0.5 * (w * w) - half_h
-        ybar = _lcm_update(y, w, dz, p, h)
-        hit = ybar >= log_n
-        y = np.where(hit, reset, ybar)
+        y = _lcm_update(y, w, dz, p, h)
+        hit = y >= log_n
+        np.copyto(y, reset, where=hit)
         counts += hit
         if flags is not None:
             flags[:, k] = hit
@@ -185,7 +191,8 @@ class MilsteinBatch:
 
 
 def milstein_evolve(i0, dw, h, p, record_stride=1):
-    """Evolve a batch of direct-Milstein paths from the common state i0.
+    """Evolve a batch of direct-Milstein paths from i0, one start state per
+    row or a scalar shared by all rows.
 
     A path is flagged violated once it produces a state the dynamics forbids:
     negative, above N, or non-finite. Exactly 0 and exactly N are boundary
@@ -193,13 +200,15 @@ def milstein_evolve(i0, dw, h, p, record_stride=1):
     underflow to it), and from N the drift steps back inside. Stepping
     continues through finite excursions (they are what the violation
     statistics measure) and freezes a path to NaN from its first non-finite
-    state onward.
+    state onward; a row that starts at NaN stays frozen. A run split at any
+    step and resumed from i_final equals one call bit for bit once the
+    violated and exploded flags of its parts are OR-ed together.
     """
     dw = np.asarray(dw, dtype=np.float64)
     n_paths, steps = dw.shape
-    I = np.full(n_paths, np.float64(i0))
+    I = np.full(n_paths, i0, dtype=np.float64)
     violated = np.zeros(n_paths, dtype=bool)
-    dead = np.zeros(n_paths, dtype=bool)
+    dead = ~np.isfinite(I)
     snaps = None
     if record_stride is not None:
         if steps % record_stride:
@@ -214,8 +223,8 @@ def milstein_evolve(i0, dw, h, p, record_stride=1):
             w = dw_cols[k]
             dz = 0.5 * (w * w) - half_h
             nxt = _milstein_update(I, w, dz, p, h)
-            dead = dead | ~np.isfinite(nxt)
-            nxt = np.where(dead, np.nan, nxt)
+            dead |= ~np.isfinite(nxt)
+            np.copyto(nxt, np.nan, where=dead)
             violated |= ~((nxt >= 0.0) & (nxt <= p.N))  # NaN rows flag too
             I = nxt
             if snaps is not None and (k + 1) % record_stride == 0:

@@ -22,6 +22,8 @@ from sislab.analysis import (
     classify_dynamics,
     count_crossings,
     fit_rate,
+    lcm_trajectories,
+    milstein_violation_fraction,
     strong_error,
     truncation_table,
     write_dynamics_summary,
@@ -33,6 +35,7 @@ from sislab.analysis import (
 P_CONV1 = ModelParams(N=10, beta=0.5, sigma=0.2, mu_plus_gamma=4.0, I0=1.0)
 P_EXT = ModelParams(N=100, beta=0.42, sigma=0.9, mu_plus_gamma=10.0, I0=90.0)
 P_PERS = ModelParams(N=100, beta=0.6, sigma=0.01, mu_plus_gamma=40.0, I0=10.0)
+P_SET2 = ModelParams(N=100, beta=0.42, sigma=0.01, mu_plus_gamma=10.0, I0=10.0)
 
 H_ROW = (2.0**-10, 2.0**-9, 2.0**-8, 2.0**-7, 2.0**-6)
 ERR_ROW_1 = (0.0006, 0.0013, 0.0026, 0.0051, 0.0103)
@@ -203,6 +206,64 @@ class TestTruncationTable:
         np.testing.assert_array_equal(a.percent, b.percent)
         assert a.hs == (0.25,)
         assert a.I0s == (10.0, 50.0)
+
+
+class TestFrozenOutputs:
+    """Small runs whose outputs were recorded, as repr floats, from the code
+    that drew every path whole before stepping it. Time blocks must not move
+    a bit: these runs cross block boundaries (16,384 fine steps with a level
+    coarser than a block; 40,960 direct-Milstein steps; 1,600 truncation
+    steps) and every coarser truncation cell reads a prefix of one draw."""
+
+    def test_strong_error(self):
+        table = strong_error(P_CONV1, SchemeParams(h=2.0**-13, alpha=0.1, theta=2.0),
+                             levels=[2.0**-11, 2.0**-6, 2.0**-1, 1.0], n_paths=12,
+                             base_seed=2468, t_final=2.0)
+        assert table.errors == (0.0003172310466385858, 0.006434884076443843,
+                                0.23770991358805663, 1.0797136722337484)
+
+    def test_milstein_violation_fraction(self):
+        kw = dict(t_final=5.0, n_paths=64, base_seed=606)
+        assert milstein_violation_fraction(P_EXT, h=2.0**-13, **kw) == 0.3125
+        assert milstein_violation_fraction(P_EXT, h=2.0**-2, **kw) == 1.0
+
+    def test_truncation_table(self):
+        tbl = truncation_table([P_SET2, P_PERS, P_EXT], I0s=[10.0, 90.0],
+                               hs=[2.0**-5, 2.0**-3, 2.0**-1], n_paths=24,
+                               horizon=50.0, base_seed=7001)
+        expected = [
+            0.0, 50.0, 50.0, 0.0, 50.0, 50.0,
+            0.0, 0.4895833333333333, 25.958333333333332,
+            0.0, 0.4791666666666667, 25.375,
+            0.0, 0.0, 0.0, 0.11197916666666667, 0.20833333333333334,
+            1.8333333333333333,
+        ]
+        assert tbl.percent.ravel().tolist() == expected
+
+
+class TestLcmTrajectories:
+    @pytest.mark.parametrize("p, t_final", [(P_PERS, 50.0), (P_EXT, 5.0)])
+    def test_rows_equal_per_path_runs(self, p, t_final):
+        # 30 paths span two groups; each row must equal lcm_simulate on the
+        # path's own draw, and classify the same
+        s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
+        steps = round(t_final / s.h)
+        rows = list(lcm_trajectories(p, s, t_final, 30, base_seed=5001))
+        assert [j for j, _ in rows] == list(range(30))
+        for j, traj in rows:
+            grid = generate(base_seed=5001, path_index=j, t_final=t_final,
+                            fine_steps=steps)
+            ref = lcm_simulate(coarsen(grid, 0), p, s)
+            for field in ("times", "values", "log_values", "truncated"):
+                np.testing.assert_array_equal(getattr(traj, field),
+                                              getattr(ref, field))
+            assert traj.truncation_count == ref.truncation_count
+            assert classify_dynamics(traj, p) == classify_dynamics(ref, p)
+
+    def test_horizon_not_whole_steps_rejected(self):
+        with pytest.raises(ValueError):
+            list(lcm_trajectories(P_PERS, SchemeParams(h=0.3, alpha=0.1, theta=2.0),
+                                  1.0, 2, base_seed=1))
 
 
 class TestCsvWriters:

@@ -212,6 +212,23 @@ class TestCliErrors:
         out = str(blocker / "sub")
         assert main(["convergence", "--config", path, "--out", out]) == 3
 
+    @pytest.mark.parametrize("paths", ["0", "-5"])
+    @pytest.mark.parametrize("command, text, output", [
+        ("convergence", CONV_CFG, "error_table.csv"),
+        ("truncation", TRUNC_CFG, "truncation.csv"),
+        ("dynamics", DYN_EXT_CFG, "dynamics_2m2.csv"),
+    ])
+    def test_non_positive_paths_is_config_error(self, tmp_path, capsys, command,
+                                                text, output, paths):
+        # regression: --paths 0 once wrote NaN tables with exit 0, and
+        # --paths -5 surfaced numpy's "negative dimensions" message
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out),
+                     "--paths", paths]) == 2
+        assert f"path count must be positive, got {paths}" in capsys.readouterr().err
+        assert not (out / output).exists()
+
     def test_gap_regime_dynamics_is_precondition_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DYN_GAP_CFG)
         assert main(["dynamics", "--config", path, "--out", str(tmp_path / "o")]) == 4

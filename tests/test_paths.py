@@ -8,6 +8,7 @@ import pytest
 from sislab.paths import (
     BrownianGrid,
     LevyAreaIncrement,
+    PathStreams,
     coarsen,
     generate,
     load_increments,
@@ -63,6 +64,34 @@ class TestPathRng:
         np.testing.assert_array_equal(x, y)
         z = path_rng(11, 7).standard_normal(8)
         assert not np.array_equal(x, z)
+
+
+class TestPathStreams:
+    def test_blocks_concatenate_to_whole_draw(self):
+        # blocks of 1, of 4,095 and of lengths that do not divide the horizon
+        steps, t_final = 10_000, 2.5
+        streams = PathStreams(31, 3, 8)
+        blocks = [streams.increments(n, t_final / steps)
+                  for n in (1, 4095, 3333, steps - 1 - 4095 - 3333)]
+        whole = np.concatenate(blocks, axis=1)
+        assert whole.shape == (5, steps)
+        for row, j in zip(whole, range(3, 8)):
+            np.testing.assert_array_equal(
+                row, generate(31, j, t_final, steps).increments)
+
+    def test_row_does_not_depend_on_range(self):
+        a = PathStreams(7, 0, 10).normals(64)
+        b = PathStreams(7, 5, 6).normals(64)
+        np.testing.assert_array_equal(a[5], b[0])
+
+    def test_scaled_prefix_is_shorter_draw(self):
+        # one draw at the largest step count serves every coarser step size
+        z = PathStreams(7001, 0, 4).normals(1600)
+        for steps in (100, 400, 1600):
+            for j in range(4):
+                np.testing.assert_array_equal(
+                    z[j, :steps] * math.sqrt(50.0 / steps),
+                    generate(7001, j, 50.0, steps).increments)
 
 
 class TestCoarsen:

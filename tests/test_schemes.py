@@ -197,6 +197,72 @@ class TestLcmEvolveBatch:
         assert out.trunc_counts.min() > 0
 
 
+class TestSplitRuns:
+    """A kernel run split at step k and resumed from its per-row states equals
+    one call, bit for bit: the contract time-blocked callers rely on."""
+
+    STEPS = 12
+
+    @pytest.mark.parametrize("k", range(1, STEPS))
+    def test_lcm_split_equals_one_call(self, k):
+        # sigma = 0.01 truncates about every other step, so counts matter
+        p = ModelParams(N=100, beta=0.42, sigma=0.01, mu_plus_gamma=10.0, I0=10.0)
+        s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
+        dw = np.vstack([generate(17, i, 3.0, self.STEPS).increments for i in range(6)])
+        y0 = math.log(p.I0)
+        whole = lcm_evolve(y0, dw, s.h, p, s)
+        a = lcm_evolve(y0, dw[:, :k], s.h, p, s)
+        b = lcm_evolve(a.y_final, dw[:, k:], s.h, p, s)
+        np.testing.assert_array_equal(b.y_final, whole.y_final)
+        np.testing.assert_array_equal(a.trunc_counts + b.trunc_counts,
+                                      whole.trunc_counts)
+        assert whole.trunc_counts.min() > 0
+
+    @pytest.mark.parametrize("k", range(1, STEPS))
+    def test_milstein_split_equals_one_call(self, k):
+        # rows from I0 = 90: keyed draws (this coarse step leaves [0, N]),
+        # drift only (leaves finitely, then overflows) and a forced early
+        # explosion; one more row starts at the fixed point 0 and stays there
+        h = 0.25
+        dw = np.vstack([generate(23, i, 3.0, self.STEPS).increments for i in range(3)]
+                       + [np.zeros(self.STEPS), np.full(self.STEPS, 50.0),
+                          generate(23, 3, 3.0, self.STEPS).increments])
+        i0 = np.array([P_EXT.I0] * 5 + [0.0])
+        whole = milstein_evolve(i0, dw, h, P_EXT, record_stride=None)
+        a = milstein_evolve(i0, dw[:, :k], h, P_EXT, record_stride=None)
+        b = milstein_evolve(a.i_final, dw[:, k:], h, P_EXT, record_stride=None)
+        np.testing.assert_array_equal(b.i_final, whole.i_final)  # NaN rows too
+        np.testing.assert_array_equal(a.violated | b.violated, whole.violated)
+        np.testing.assert_array_equal(a.exploded | b.exploded, whole.exploded)
+        assert whole.exploded.any() and not whole.violated[-1]
+
+    def test_per_row_start_states(self):
+        s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
+        dw = np.vstack([generate(5, i, 2.0, 8).increments for i in range(3)])
+        y0 = np.array([-1.0, 0.5, 4.0])
+        out = lcm_evolve(y0, dw, s.h, P_EXT, s, record_stride=1)
+        np.testing.assert_array_equal(out.y_snaps[:, 0], y0)
+        for i in range(3):
+            one = lcm_evolve(float(y0[i]), dw[i:i + 1], s.h, P_EXT, s)
+            assert one.y_final[0] == out.y_final[i]
+
+
+class TestNonFiniteInput:
+    S = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_lcm_rejects_non_finite_increments(self, bad):
+        dw = np.zeros((3, 5))
+        dw[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lcm_evolve(0.0, dw, self.S.h, P_CONV1, self.S)
+
+    def test_lcm_rejects_non_finite_start_state(self):
+        with pytest.raises(ValueError, match="finite"):
+            lcm_evolve(np.array([0.0, np.nan]), np.zeros((2, 3)), self.S.h,
+                       P_CONV1, self.S)
+
+
 class TestMilsteinStep:
     def test_hand_substitution(self):
         # oracle: 1 + 0.125 + 0 + 2.88*(-0.125) = 0.765
