@@ -15,7 +15,7 @@ p = ModelParams(N=10, beta=0.5, sigma=0.2, mu_plus_gamma=4.0, I0=1.0)
 s_ref = SchemeParams(h=2.0**-12, alpha=0.1, theta=2.0)
 
 table = strong_error(p, s_ref, levels=[2.0**-8, 2.0**-7, 2.0**-6, 2.0**-5],
-                     n_paths=500, base_seed=101, t_final=1.0, threads=2)
+                     n_paths=500, base_seed=101, t_final=1.0)
 
 print("      h        error    ratio to previous")
 prev = None

@@ -19,7 +19,7 @@ SETS = [
 HS = (0.25, 0.125, 0.0625)
 
 tbl = truncation_table(SETS, I0s=(10.0, 90.0), hs=HS, n_paths=2000,
-                       horizon=50.0, base_seed=7001, threads=2,
+                       horizon=50.0, base_seed=7001,
                        alpha=0.1, theta=2.0, labels=("strong noise",
                                                      "weak noise"))
 

@@ -6,14 +6,13 @@ by absolute path index, partial results land in preallocated per-path arrays,
 and reductions run once over those arrays in index order. Each path's stream
 is drawn once, forward in fixed time blocks, and the kernels carry their
 per-row states from block to block, so memory per chunk is bounded by chunk
-times block whatever the horizon. Chunk size, time blocks and thread count
-change memory use and wall time, never the numbers.
+times block whatever the horizon. Chunk size and time blocks change memory
+use and wall time, never the numbers.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,21 +95,6 @@ _TRUNCATION_BLOCK = 128
 _TRAJECTORY_GROUP = 25
 
 
-def _chunk_spans(n, size):
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def _run_chunks(worker, n, size, threads):
-    spans = _chunk_spans(n, size)
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # list() forces completion so worker exceptions propagate
-            list(pool.map(lambda span: worker(*span), spans))
-    else:
-        for lo, hi in spans:
-            worker(lo, hi)
-
-
 def _whole_steps(t_final, h, what):
     steps = round(t_final / h)
     if steps < 1 or not math.isclose(steps * h, t_final, rel_tol=1e-9):
@@ -119,7 +103,7 @@ def _whole_steps(t_final, h, what):
 
 
 def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
-                 threads=1, chunk=1024):
+                 chunk=1024):
     """Coupled-path strong errors of the log-space scheme at several step sizes.
 
     Every level reuses the same fine Brownian increments as the reference run
@@ -144,8 +128,8 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
     schemes = [replace(scheme_ref, h=L) for L in levels]
     block = max([_BLOCK, *ratios])  # whole coarse steps of every level
     gap2 = np.empty((len(levels), n_paths))
-
-    def worker(lo, hi):
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
         streams = PathStreams(base_seed, lo, hi)
         y_ref = y0
         y_lev = [y0] * len(levels)
@@ -160,8 +144,6 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
         iref = np.exp(y_ref)
         for li, y in enumerate(y_lev):
             gap2[li, lo:hi] = (iref - np.exp(y)) ** 2
-
-    _run_chunks(worker, n_paths, chunk, threads)
     errors = tuple(math.sqrt(float(np.mean(gap2[li])))
                    for li in range(len(levels)))
     return ErrorTable(step_sizes=levels, errors=errors, n_paths=n_paths,
@@ -169,24 +151,20 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
 
 
 def milstein_violation_fraction(params, h, t_final, n_paths, base_seed,
-                                threads=1, chunk=1024):
+                                chunk=1024):
     """Fraction of direct-Milstein paths that ever produce a forbidden state
     (negative, above N, or non-finite) before t_final."""
     steps = _whole_steps(t_final, float(h), "t_final")
-    violated = np.empty(n_paths, dtype=bool)
-
-    def worker(lo, hi):
+    violated = np.zeros(n_paths, dtype=bool)
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
         streams = PathStreams(base_seed, lo, hi)
         state = params.I0
-        hit = np.zeros(hi - lo, dtype=bool)
         for start in range(0, steps, _BLOCK):
             dw = streams.increments(min(_BLOCK, steps - start), t_final / steps)
             out = milstein_evolve(state, dw, float(h), params, record_stride=None)
             state = out.i_final
-            hit |= out.violated
-        violated[lo:hi] = hit
-
-    _run_chunks(worker, n_paths, chunk, threads)
+            violated[lo:hi] |= out.violated
     return float(violated.mean())
 
 
@@ -201,7 +179,7 @@ class TruncationTable:
 
 
 def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
-                     threads=1, chunk=8192, alpha=0.1, theta=2.0, labels=None):
+                     chunk=8192, alpha=0.1, theta=2.0, labels=None):
     """Percentage of steps the log-space scheme truncates, per parameter set,
     initial value, and step size.
 
@@ -226,8 +204,8 @@ def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
                               math.log(i0), _whole_steps(horizon, h, "horizon")))
     longest = max((steps for *_, steps in cells), default=0)
     counts = np.zeros((len(cells), n_paths), dtype=np.int64)
-
-    def worker(lo, hi):
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
         streams = PathStreams(base_seed, lo, hi)
         states = [y0 for _, _, _, y0, _ in cells]
         for start in range(0, longest, _TRUNCATION_BLOCK):
@@ -241,8 +219,6 @@ def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
                 out = lcm_evolve(states[c], dw.T, s.h, p, s)
                 states[c] = out.y_final
                 counts[c, lo:hi] += out.trunc_counts
-
-    _run_chunks(worker, n_paths, chunk, threads)
     for c, (index, _, _, _, steps) in enumerate(cells):
         percent[index] = 100.0 * counts[c].sum() / (n_paths * steps)
     return TruncationTable(percent=percent, hs=hs, I0s=I0s,

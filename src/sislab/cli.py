@@ -240,10 +240,6 @@ def _h_label(h):
     return repr(float(h)).replace(".", "p").replace("-", "m")
 
 
-def _resolve_threads(args):
-    return args.threads or min(4, os.cpu_count() or 1)
-
-
 def _resolve_seed(args, cfg):
     return args.seed if args.seed is not None else cfg.base_seed
 
@@ -277,12 +273,10 @@ def cmd_simulate(args):
 def cmd_convergence(args):
     cfg = parse_config(args.config)
     seed = _resolve_seed(args, cfg)
-    threads = _resolve_threads(args)
     if args.self_test:
         s = SchemeParams(h=2.0**-8, alpha=cfg.scheme.alpha, theta=cfg.scheme.theta)
         table = strong_error(cfg.model, s, levels=[2.0**-5, 2.0**-4, 2.0**-3],
-                             n_paths=200, base_seed=seed, t_final=1.0,
-                             threads=threads)
+                             n_paths=200, base_seed=seed, t_final=1.0)
         fit = fit_rate(table)
         ok = all(e > 0.0 for e in table.errors) and 0.5 < fit.q < 1.5
         state = "ok" if ok else "FAILED"
@@ -296,7 +290,7 @@ def cmd_convergence(args):
     s_ref = SchemeParams(h=cfg.h_reference, alpha=cfg.scheme.alpha,
                          theta=cfg.scheme.theta)
     table = strong_error(cfg.model, s_ref, levels=cfg.levels, n_paths=n_paths,
-                         base_seed=seed, t_final=cfg.t_final, threads=threads)
+                         base_seed=seed, t_final=cfg.t_final)
     fit = fit_rate(table)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -351,14 +345,13 @@ def cmd_truncation(args):
     if not cfg.trunc_step_sizes:
         raise ConfigError("missing [truncation] section with step_sizes")
     seed = _resolve_seed(args, cfg)
-    threads = _resolve_threads(args)
     n_paths = _resolve_paths(args, cfg.n_paths)
     sets = cfg.sets or ((1, cfg.model),)
     horizon = cfg.horizon if cfg.horizon is not None else cfg.t_final
     tbl = truncation_table([mp for _, mp in sets],
                            I0s=cfg.trunc_i0 or (cfg.model.I0,),
                            hs=cfg.trunc_step_sizes, n_paths=n_paths,
-                           horizon=horizon, base_seed=seed, threads=threads,
+                           horizon=horizon, base_seed=seed,
                            alpha=cfg.scheme.alpha, theta=cfg.scheme.theta,
                            labels=[label for label, _ in sets])
     outdir = args.out or "."
@@ -385,8 +378,6 @@ def _build_parser():
                         help="override the path/seed count from the config")
         sp.add_argument("--out", default=None,
                         help="output file (simulate) or directory (others)")
-        sp.add_argument("--threads", type=int, default=0,
-                        help="worker threads; 0 picks min(4, cpu count)")
 
     p = sub.add_parser("simulate", help="write one trajectory as CSV")
     common(p)

@@ -3,7 +3,7 @@ coarsening and a small binary dump format.
 
 Every path is an independent counter-based stream keyed by
 (base_seed, path_index), so a path's draws never depend on how many other
-paths were generated, in which order, or on which worker thread. The same
+paths were generated, in which order, or in which chunk. The same
 streams can be read forward in time blocks (PathStreams), and blocks of any
 lengths concatenate, bit for bit, to the whole-path draw of generate.
 """

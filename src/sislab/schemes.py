@@ -8,9 +8,11 @@ any step size. The direct scheme applies Milstein to I itself with no guard:
 it is expected to leave (0, N) and to overflow at coarse steps, and the
 bookkeeping here records exactly where that happens instead of hiding it.
 
-Scalar steps and batch evolution share one update expression evaluated on
-ndarrays, so a path computed one step at a time is bit-identical to the same
-path computed as a row of a batch.
+Each scheme has one batch kernel, lcm_evolve and milstein_evolve. The
+single-path functions lcm_simulate and milstein_direct_simulate are 1-row
+views of it, so a path run alone is bit-identical to the same path run as a
+row of a batch. lcm_step evaluates lcm_evolve's update expression on one
+state.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import diffusion_original, drift_original, log_coeffs
+from .model import log_coeffs
 from .paths import BrownianGrid, coarsen
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "lcm_simulate",
     "lcm_step",
     "milstein_direct_simulate",
-    "milstein_direct_step",
     "milstein_evolve",
     "trajectory_to_csv",
 ]
@@ -53,6 +54,12 @@ class SchemeParams:
             raise ValueError("alpha must lie in (0, 1]")
         if not self.theta >= 1.5:
             raise ValueError("theta must be at least 3/2")
+        try:
+            shift = self.alpha * self.h**self.theta
+        except OverflowError:
+            shift = math.inf
+        if not math.isfinite(shift):
+            raise ValueError(f"h = {self.h!r} is too large: alpha h^theta overflows")
 
 
 @dataclass
@@ -77,13 +84,6 @@ class Trajectory:
 def _lcm_update(y, dw, dz, p, h):
     fy, gy, ggy = log_coeffs(y, p)
     return y + fy * h + gy * dw + ggy * dz
-
-
-def _milstein_update(i, dw, dz, p, h):
-    ai = drift_original(i, p)
-    bi = diffusion_original(i, p)
-    bpi = p.sigma * (p.N - 2.0 * i)
-    return i + ai * h + bi * dw + bi * bpi * dz
 
 
 def lcm_step(y, dw, dz, p, s):
@@ -173,13 +173,6 @@ def lcm_simulate(inc, p, s):
                       truncation_count=int(out.trunc_counts[0]))
 
 
-def milstein_direct_step(i, dw, dz, p, h):
-    """One unguarded Milstein step on the original state. May leave (0, N)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(_milstein_update(np.array([i]), np.array([dw]),
-                                      np.array([dz]), p, h)[0])
-
-
 @dataclass
 class MilsteinBatch:
     """Batch output of the direct scheme; violated/exploded are per-path flags."""
@@ -188,6 +181,11 @@ class MilsteinBatch:
     i_final: np.ndarray
     violated: np.ndarray
     exploded: np.ndarray
+
+
+# Doubles in each of milstein_evolve's tile buffers (states, dW, dZeta): a
+# tile is this many divided by the width steps long, and at least one step.
+_TILE_DOUBLES = 1 << 16
 
 
 def milstein_evolve(i0, dw, h, p, record_stride=1):
@@ -203,59 +201,90 @@ def milstein_evolve(i0, dw, h, p, record_stride=1):
     state onward; a row that starts at NaN stays frozen. A run split at any
     step and resumed from i_final equals one call bit for bit once the
     violated and exploded flags of its parts are OR-ed together.
+
+    Each step is 16 in-place binary operations, in the order of
+    drift_original and diffusion_original; dZeta, the domain check and the
+    NaN freeze run once per tile of steps. The freeze may wait because no
+    sum, difference or product of a non-finite operand is finite.
     """
     dw = np.asarray(dw, dtype=np.float64)
     n_paths, steps = dw.shape
-    I = np.full(n_paths, i0, dtype=np.float64)
+    start = np.full(n_paths, i0, dtype=np.float64)
     violated = np.zeros(n_paths, dtype=bool)
-    dead = ~np.isfinite(I)
     snaps = None
     if record_stride is not None:
         if steps % record_stride:
             raise ValueError("record_stride must divide the step count")
         snaps = np.empty((n_paths, steps // record_stride + 1))
-        snaps[:, 0] = I
+        snaps[:, 0] = start
 
+    tile = max(1, min(steps, _TILE_DOUBLES // max(n_paths, 1)))
+    states = np.empty((tile + 1, n_paths))  # row j + 1 is the state after row j's step
+    states[0] = start
+    w_tile, z_tile = np.empty((2, tile, n_paths))
+    ai, bi, tmp = np.empty((3, n_paths))
+    # c = beta N - (mu + gamma), formed as drift_original forms it; each
+    # constant is a full row, as a Python-float operand costs more per call
+    beta, c, sigma, big_n, two, step = (
+        np.full(n_paths, v, dtype=np.float64)
+        for v in (p.beta, p.beta * p.N - p.mu_plus_gamma, p.sigma, p.N, 2.0, h))
     half_h = 0.5 * h
-    dw_cols = np.ascontiguousarray(dw.T)
+    # ufuncs with the output as third argument, cheaper to call than out=
+    mul, sub, add = np.multiply, np.subtract, np.add
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            w = dw_cols[k]
-            dz = 0.5 * (w * w) - half_h
-            nxt = _milstein_update(I, w, dz, p, h)
-            dead |= ~np.isfinite(nxt)
-            np.copyto(nxt, np.nan, where=dead)
-            violated |= ~((nxt >= 0.0) & (nxt <= p.N))  # NaN rows flag too
-            I = nxt
-            if snaps is not None and (k + 1) % record_stride == 0:
-                snaps[:, (k + 1) // record_stride] = I
-    return MilsteinBatch(i_snaps=snaps, i_final=I, violated=violated, exploded=dead)
+        for k0 in range(0, steps, tile):
+            n = min(tile, steps - k0)
+            w, z, new = w_tile[:n], z_tile[:n], states[1:n + 1]
+            np.copyto(w, dw[:, k0:k0 + n].T)
+            mul(w, w, out=z)
+            z *= 0.5
+            z -= half_h
+            for I, nxt, dw_k, dz_k in zip(states, new, w, z):
+                # a = I (c - beta I), b = sigma I (N - I), b' = sigma (N - 2 I);
+                # I + a h + b dW + b b' dZeta
+                mul(beta, I, ai)
+                sub(c, ai, ai)
+                mul(I, ai, ai)
+                mul(sigma, I, bi)
+                sub(big_n, I, tmp)
+                mul(bi, tmp, bi)
+                mul(two, I, tmp)
+                sub(big_n, tmp, tmp)
+                mul(sigma, tmp, tmp)
+                mul(ai, step, ai)
+                add(I, ai, nxt)
+                mul(bi, dw_k, ai)
+                add(nxt, ai, nxt)
+                mul(bi, tmp, bi)
+                mul(bi, dz_k, bi)
+                add(nxt, bi, nxt)
+            violated |= ~((new >= 0.0) & (new <= p.N)).all(axis=0)  # NaN flags too
+            np.copyto(new, np.nan, where=~np.isfinite(new))
+            if snaps is not None:
+                # state k0 + first is the tile's first record, in row first - 1
+                first = record_stride - k0 % record_stride
+                rows = new[first - 1::record_stride]
+                j = (k0 + first) // record_stride
+                snaps[:, j:j + len(rows)] = rows.T
+            states[0] = new[-1]
+    i_final = states[0].copy()
+    return MilsteinBatch(i_snaps=snaps, i_final=i_final, violated=violated,
+                         exploded=~np.isfinite(i_final))
 
 
 def milstein_direct_simulate(inc, p):
     """Run the direct scheme along one path, recording where it first produces
     a forbidden state (negative, above N, or non-finite; see milstein_evolve)
-    and where it stops being finite."""
-    m = len(inc.dW)
-    values = np.empty(m + 1)
-    values[0] = p.I0
-    violation_index = None
-    explosion_index = None
-    i = p.I0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(m):
-            i = milstein_direct_step(i, float(inc.dW[k]), float(inc.dZeta[k]),
-                                     p, inc.h)
-            if not math.isfinite(i):
-                explosion_index = k + 1
-                values[k + 1:] = np.nan
-                if violation_index is None:
-                    violation_index = k + 1
-                break
-            values[k + 1] = i
-            if violation_index is None and not 0.0 <= i <= p.N:
-                violation_index = k + 1
-    times = np.arange(m + 1) * inc.h
+    and where it stops being finite. A 1-row view of milstein_evolve, which
+    rebuilds dZeta from inc.dW as LevyIncrements defines it.
+    """
+    values = milstein_evolve(p.I0, inc.dW[None, :], inc.h, p).i_snaps[0]
+    outside = np.flatnonzero(~((values >= 0.0) & (values <= p.N)))
+    blown = np.flatnonzero(~np.isfinite(values))
+    violation_index = int(outside[0]) if outside.size else None
+    explosion_index = int(blown[0]) if blown.size else None
+    times = np.arange(len(values)) * inc.h
     return Trajectory(times=times, values=values,
                       domain_violation=violation_index is not None,
                       violation_index=violation_index,

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 print. The convergence studies default to 10^4 coupled paths (per-level error
 tolerance 15%); set SIS_LAB_CI_PATHS=1000 for the quick variant, which widens
-the per-level tolerance to 30%. SIS_LAB_THREADS caps the worker count.
+the per-level tolerance to 30%.
 
 Criterion 6 checks the unguarded baseline at h = 2^-15. At h = 2^-14 one
 direct-Milstein step from midrange still leaves [0, N] with probability about
@@ -34,7 +34,6 @@ from sislab.analysis import (
 CI_PATHS = os.environ.get("SIS_LAB_CI_PATHS")
 N_PATHS = int(CI_PATHS) if CI_PATHS else 10_000
 LEVEL_TOL = 0.30 if CI_PATHS else 0.15
-THREADS = int(os.environ.get("SIS_LAB_THREADS", "0")) or min(4, os.cpu_count() or 1)
 
 P_EXT = ModelParams(N=100, beta=0.42, sigma=0.9, mu_plus_gamma=10.0, I0=90.0)
 P_PERS = ModelParams(N=100, beta=0.6, sigma=0.01, mu_plus_gamma=40.0, I0=10.0)
@@ -60,7 +59,7 @@ def report(number, ok, detail):
 
 def run_convergence(params, scheme_ref, base_seed):
     table = strong_error(params, scheme_ref, levels=LEVELS, n_paths=N_PATHS,
-                         base_seed=base_seed, t_final=1.0, threads=THREADS)
+                         base_seed=base_seed, t_final=1.0)
     return table, fit_rate(table)
 
 
@@ -164,9 +163,9 @@ def test_criterion_6_direct_milstein_fails_then_recovers():
     # recovery shows at 2^-15, not before.
     n_paths = 1000
     coarse = milstein_violation_fraction(P_EXT, h=2.0**-2, t_final=5.0,
-                                         n_paths=n_paths, base_seed=606, threads=THREADS)
+                                         n_paths=n_paths, base_seed=606)
     fine = milstein_violation_fraction(P_EXT, h=2.0**-15, t_final=5.0,
-                                       n_paths=n_paths, base_seed=606, threads=THREADS)
+                                       n_paths=n_paths, base_seed=606)
     ok = coarse >= 0.50 and fine <= 0.01
     report(6, ok, f"violation fraction {binomial_summary(coarse, n_paths)} at h=2^-2 "
                   f"(need >= 50%), {binomial_summary(fine, n_paths)} at h=2^-15 "
@@ -174,7 +173,7 @@ def test_criterion_6_direct_milstein_fails_then_recovers():
 
 
 def test_criterion_7_truncation_frequency_table():
-    kw = dict(n_paths=20_000, horizon=50.0, base_seed=7001, threads=THREADS)
+    kw = dict(n_paths=20_000, horizon=50.0, base_seed=7001)
     t2 = truncation_table([SET2], I0s=[10.0], hs=[2.0**-3, 2.0**-2, 2.0**-1], **kw)
     plateau = t2.percent[0, 0, :]
     plateau_ok = all(abs(p - ref) <= 1.0

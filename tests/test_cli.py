@@ -6,9 +6,12 @@ outside every supported regime.
 """
 
 import math
+from functools import partial
 
 import pytest
 
+from sislab import cli
+from sislab.analysis import strong_error, truncation_table
 from sislab.cli import ConfigError, main, parse_config, serialize_config
 
 BASE_CFG = """\
@@ -229,6 +232,14 @@ class TestCliErrors:
         assert f"path count must be positive, got {paths}" in capsys.readouterr().err
         assert not (out / output).exists()
 
+    def test_huge_step_is_config_error(self, tmp_path, capsys):
+        # regression: h = 1e200 once escaped as an OverflowError traceback
+        path = write_cfg(tmp_path, CONV_CFG.replace("h = 2^-6", "h = 1e200"))
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scheme: h = 1e+200 is too large")
+        assert "Traceback" not in err
+
     def test_gap_regime_dynamics_is_precondition_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DYN_GAP_CFG)
         assert main(["dynamics", "--config", path, "--out", str(tmp_path / "o")]) == 4
@@ -292,13 +303,14 @@ class TestConvergence:
         assert loglog[0] == "log_h,log_error,order_one_reference"
         assert len(loglog) == 3
 
-    def test_reruns_are_byte_identical(self, tmp_path):
+    def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
+        # the second run steps its 256 paths in chunks of 7
         path = write_cfg(tmp_path, CONV_CFG)
         outs = []
-        for name, threads in (("c1", "1"), ("c2", "3")):
+        for name, chunk in (("c1", 1024), ("c2", 7)):
+            monkeypatch.setattr(cli, "strong_error", partial(strong_error, chunk=chunk))
             out = tmp_path / name
-            code = main(["convergence", "--config", path, "--out", str(out),
-                         "--threads", threads])
+            code = main(["convergence", "--config", path, "--out", str(out)])
             assert code == 0
             outs.append((out / "error_table.csv").read_bytes())
         assert outs[0] == outs[1]
@@ -352,13 +364,15 @@ class TestTruncation:
         labels = {r.split(",")[0] for r in lines[1:]}
         assert labels == {"1", "2"}
 
-    def test_rerun_is_byte_identical(self, tmp_path):
+    def test_rerun_is_byte_identical(self, tmp_path, monkeypatch):
+        # the second run steps its paths in chunks of 5
         path = write_cfg(tmp_path, TRUNC_CFG)
         blobs = []
-        for name, threads in (("t1", "1"), ("t2", "2")):
+        for name, chunk in (("t1", 8192), ("t2", 5)):
+            monkeypatch.setattr(cli, "truncation_table",
+                                partial(truncation_table, chunk=chunk))
             out = tmp_path / name
-            code = main(["truncation", "--config", path, "--out", str(out),
-                         "--threads", threads])
+            code = main(["truncation", "--config", path, "--out", str(out)])
             assert code == 0
             blobs.append((out / "truncation.csv").read_bytes())
         assert blobs[0] == blobs[1]

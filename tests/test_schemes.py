@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from sislab.model import ModelParams, log_coeffs
+from sislab import schemes
+from sislab.model import ModelParams, diffusion_original, drift_original, log_coeffs
 from sislab.paths import LevyIncrements, coarsen, generate
 from sislab.schemes import (
     SchemeParams,
@@ -20,7 +21,6 @@ from sislab.schemes import (
     lcm_simulate,
     lcm_step,
     milstein_direct_simulate,
-    milstein_direct_step,
     milstein_evolve,
     trajectory_to_csv,
 )
@@ -51,6 +51,17 @@ class TestSchemeParams:
             SchemeParams(h=0.25, alpha=0.5, theta=1.0)
         with pytest.raises(ValueError):
             SchemeParams(h=0.0, alpha=0.5, theta=2.0)
+
+    @pytest.mark.parametrize("h, theta", [(1e200, 2.0), (1e250, 1.5), (math.inf, 2.0),
+                                          (1e160, 2.0)])
+    def test_rejects_overflowing_truncation_shift(self, h, theta):
+        # regression: h**theta overflowed inside lcm_evolve, after the run began
+        with pytest.raises(ValueError, match="too large"):
+            SchemeParams(h=h, alpha=0.1, theta=theta)
+
+    def test_accepts_large_finite_shift(self):
+        s = SchemeParams(h=1e100, alpha=1.0, theta=3.0)
+        assert math.isfinite(s.alpha * s.h**s.theta)
 
 
 class TestLcmStep:
@@ -263,27 +274,137 @@ class TestNonFiniteInput:
                        P_CONV1, self.S)
 
 
+def milstein_one_step(i, dw, p, h):
+    """One direct-Milstein step from state i: a one-step, 1-row kernel call
+    (dZeta = (dw^2 - h) / 2 is rebuilt inside)."""
+    out = milstein_evolve(i, np.array([[dw]]), h, p, record_stride=None)
+    return float(out.i_final[0])
+
+
 class TestMilsteinStep:
     def test_hand_substitution(self):
         # oracle: 1 + 0.125 + 0 + 2.88*(-0.125) = 0.765
-        i1 = milstein_direct_step(1.0, 0.0, -0.125, P_CONV1, h=0.25)
+        i1 = milstein_one_step(1.0, 0.0, P_CONV1, h=0.25)
         assert i1 == pytest.approx(0.765, rel=1e-13)
 
     def test_zero_is_fixed_point(self):
         for dw in (0.0, 1.0, -2.5):
-            dz = 0.5 * dw**2 - 0.125
-            assert milstein_direct_step(0.0, dw, dz, P_CONV1, h=0.25) == 0.0
+            assert milstein_one_step(0.0, dw, P_CONV1, h=0.25) == 0.0
 
     def test_boundary_exit(self):
         # from I=N the drift alone steps straight to the absorbing boundary
-        i1 = milstein_direct_step(10.0, 0.0, -0.125, P_CONV1, h=0.25)
+        i1 = milstein_one_step(10.0, 0.0, P_CONV1, h=0.25)
         assert i1 == 0.0
 
     def test_drift_only_iteration(self):
         I = 1.0
         for expected in MILSTEIN_DRIFT_ITERATES:
-            I = milstein_direct_step(I, 0.0, -0.125, P_CONV1, h=0.25)
+            I = milstein_one_step(I, 0.0, P_CONV1, h=0.25)
             assert I == pytest.approx(expected, rel=1e-12)
+
+
+def milstein_reference(i0, dw, h, p):
+    """Direct Milstein one step at a time: the update as drift_original and
+    diffusion_original write it, each state frozen to NaN from the first
+    non-finite one. Returns (every state, violated, exploded)."""
+    I = np.array(i0, dtype=np.float64)
+    states = [I]
+    violated = np.zeros(len(I), dtype=bool)
+    dead = ~np.isfinite(I)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(dw.shape[1]):
+            w = dw[:, k]
+            dz = 0.5 * (w * w) - 0.5 * h
+            ai = drift_original(I, p)
+            bi = diffusion_original(I, p)
+            bpi = p.sigma * (p.N - 2.0 * I)
+            nxt = I + ai * h + bi * w + bi * bpi * dz
+            dead |= ~np.isfinite(nxt)
+            nxt[dead] = np.nan
+            violated |= ~((nxt >= 0.0) & (nxt <= p.N))
+            I = nxt
+            states.append(I)
+    return np.stack(states, axis=1), violated, dead
+
+
+class TestMilsteinEvolveTiles:
+    """milstein_evolve steps in tiles and checks the domain once per tile; it
+    must equal the per-step reference bit for bit at every tile boundary."""
+
+    BUDGET = 1 << 10  # doubles per tile in these tests: tiles of 1024, 146, 8
+
+    @staticmethod
+    def case(width, steps, h=2.0**-14):
+        # random rows, then (width permitting) rows that start at NaN, +inf,
+        # -inf, 0 (the fixed point) and -1 (a finite excursion that stays
+        # finite); the last row runs drift-only from I = 50 until a kick
+        # halfway through throws it out of the domain, and it overflows a few
+        # steps later, inside a tile
+        rng = np.random.default_rng(1000 * width + steps)
+        dw = rng.normal(0.0, math.sqrt(h), size=(width, steps))
+        i0 = rng.uniform(1.0, P_EXT.N - 1.0, size=width)
+        i0[-1] = 50.0
+        dw[-1, :steps // 2] = 0.0
+        dw[-1, steps // 2] = 30.0
+        if width >= 7:
+            i0[1:6] = [np.nan, np.inf, -np.inf, 0.0, -1.0]
+        return i0, dw, h
+
+    @pytest.mark.parametrize("width", [1, 7, 128])
+    @pytest.mark.parametrize("kind", ["one", "tile-1", "tile", "tile+1", "ragged"])
+    def test_matches_per_step_reference(self, monkeypatch, width, kind):
+        monkeypatch.setattr(schemes, "_TILE_DOUBLES", self.BUDGET)
+        tile = self.BUDGET // width
+        steps = {"one": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
+                 "ragged": 3 * (tile - 1)}[kind]
+        i0, dw, h = self.case(width, steps)
+        ref, violated, exploded = milstein_reference(i0, dw, h, P_EXT)
+        for stride in (None, 1, 3):
+            if stride and steps % stride:
+                continue
+            out = milstein_evolve(i0, dw, h, P_EXT, record_stride=stride)
+            np.testing.assert_array_equal(out.i_final, ref[:, -1])
+            np.testing.assert_array_equal(out.violated, violated)
+            np.testing.assert_array_equal(out.exploded, exploded)
+            if stride is None:
+                assert out.i_snaps is None
+            else:
+                np.testing.assert_array_equal(out.i_snaps, ref[:, ::stride])
+        if width >= 7:
+            np.testing.assert_array_equal(violated[1:6], [True] * 3 + [False, True])
+            np.testing.assert_array_equal(exploded[1:6], [True] * 3 + [False] * 2)
+        if steps > 20:  # the kicked row overflows mid-run
+            assert exploded[-1] and np.isfinite(ref[-1, steps // 2])
+
+    def test_default_tile_matches_reference(self):
+        width = 128
+        tile = schemes._TILE_DOUBLES // width
+        steps = 2 * tile + 3
+        i0, dw, h = self.case(width, steps)
+        ref, violated, exploded = milstein_reference(i0, dw, h, P_EXT)
+        out = milstein_evolve(i0, dw, h, P_EXT, record_stride=1)
+        np.testing.assert_array_equal(out.i_snaps, ref)
+        np.testing.assert_array_equal(out.violated, violated)
+        np.testing.assert_array_equal(out.exploded, exploded)
+
+    @pytest.mark.parametrize("k", [5, 146, 200])  # 146 ends a tile of width 7
+    def test_split_and_resume_matches_reference(self, monkeypatch, k):
+        monkeypatch.setattr(schemes, "_TILE_DOUBLES", self.BUDGET)
+        i0, dw, h = self.case(7, 3 * 145)
+        ref, violated, exploded = milstein_reference(i0, dw, h, P_EXT)
+        a = milstein_evolve(i0, dw[:, :k], h, P_EXT, record_stride=1)
+        b = milstein_evolve(a.i_final, dw[:, k:], h, P_EXT, record_stride=1)
+        np.testing.assert_array_equal(np.hstack([a.i_snaps, b.i_snaps[:, 1:]]), ref)
+        np.testing.assert_array_equal(a.violated | b.violated, violated)
+        np.testing.assert_array_equal(a.exploded | b.exploded, exploded)
+
+    def test_no_steps(self):
+        i0 = np.array([50.0, np.inf])
+        out = milstein_evolve(i0, np.empty((2, 0)), 0.25, P_EXT)
+        np.testing.assert_array_equal(out.i_final, i0)
+        np.testing.assert_array_equal(out.i_snaps, i0[:, None])
+        np.testing.assert_array_equal(out.exploded, [False, True])
+        assert not out.violated.any()
 
 
 class TestMilsteinSimulate:

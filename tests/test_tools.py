@@ -1,16 +1,21 @@
 """The dev tools under tools/ use only sislab's public names.
 
-No test runs the tools (some take minutes), so a private helper they import
-could be renamed or deleted without any test noticing. This parses them
-instead and fails on any ``from sislab... import _name``.
+Most tools take minutes, so no test runs them, and a private helper they
+import could be renamed or deleted without any test noticing. This parses
+them instead and fails on any ``from sislab... import _name``. The kernel
+width sweep is fast, so it also runs here at a tiny size.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TOOLS = sorted((Path(__file__).resolve().parents[1] / "tools").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", TOOLS, ids=lambda p: p.name)
@@ -25,4 +30,21 @@ def test_tool_imports_only_public_names(script):
 
 
 def test_tools_are_found():
-    assert {p.name for p in TOOLS} >= {"diag_error_stat.py", "diag_violation.py"}
+    assert {p.name for p in TOOLS} >= {"diag_error_stat.py", "diag_violation.py",
+                                       "kernel_bench.py"}
+
+
+def test_kernel_bench_runs_small():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "kernel_bench.py"),
+         "--path-steps", "64"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[2:4] == ["lcm_evolve", "milstein_evolve"]
+    assert [row.split()[:2] for row in rows] == [
+        ["1", "64"], ["25", "2"], ["128", "1"], ["1024", "1"], ["8192", "1"]]
+    assert all(float(cell) > 0.0 for row in rows for cell in row.split()[2:])

@@ -1,0 +1,55 @@
+"""Stepping-kernel cost: ns per path-step of lcm_evolve and milstein_evolve
+at several batch widths.
+
+Each cell steps about --path-steps path-steps (width x steps, at most 4,096
+steps) on criterion 6's parameters from I = 50 at h = 2^-15, where the direct
+scheme stays in its domain, and reports the best of three timings. The
+default run takes a few seconds. Dev-only; not part of the package:
+
+    PYTHONPATH=src python tools/kernel_bench.py [--path-steps 2097152]
+"""
+
+import argparse
+import math
+import time
+
+import numpy as np
+
+from sislab.model import ModelParams
+from sislab.schemes import SchemeParams, lcm_evolve, milstein_evolve
+
+P = ModelParams(N=100, beta=0.42, sigma=0.9, mu_plus_gamma=10.0, I0=50.0)
+S = SchemeParams(h=2.0**-15, alpha=0.1, theta=2.0)
+KERNELS = {
+    "lcm_evolve": lambda dw: lcm_evolve(math.log(P.I0), dw, S.h, P, S),
+    "milstein_evolve": lambda dw: milstein_evolve(P.I0, dw, S.h, P, record_stride=None),
+}
+WIDTHS = (1, 25, 128, 1024, 8192)
+MAX_STEPS = 4096
+
+
+def ns_per_path_step(kernel, dw):
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        kernel(dw)
+        best = min(best, time.perf_counter() - start)
+    return best / dw.size * 1e9
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--path-steps", type=int, default=1 << 21)
+    args = ap.parse_args(argv)
+    rng = np.random.default_rng(0)
+    print(f"{'width':>6} {'steps':>6} " + " ".join(f"{k:>16}" for k in KERNELS)
+          + "  (ns per path-step)")
+    for width in WIDTHS:
+        steps = max(1, min(MAX_STEPS, args.path_steps // width))
+        dw = rng.normal(0.0, math.sqrt(S.h), size=(width, steps))
+        cells = [ns_per_path_step(k, dw) for k in KERNELS.values()]
+        print(f"{width:6d} {steps:6d} " + " ".join(f"{c:16.1f}" for c in cells))
+
+
+if __name__ == "__main__":
+    main()
