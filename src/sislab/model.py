@@ -26,11 +26,7 @@ __all__ = [
     "diffusion_original",
     "drift_original",
     "extinction_case",
-    "f",
     "f_max_sigma",
-    "g",
-    "g_prime",
-    "gg_prime",
     "log_coeffs",
     "persistence_alpha_bound",
     "persistence_lambda",
@@ -100,22 +96,6 @@ def log_coeffs(x, p):
     gx = p.sigma * (p.N - ex)
     ggx = -s2 * ex * (p.N - ex)
     return fx, gx, ggx
-
-
-def f(x, p):
-    return log_coeffs(x, p)[0]
-
-
-def g(x, p):
-    return log_coeffs(x, p)[1]
-
-
-def g_prime(x, p):
-    return -p.sigma * np.exp(np.asarray(x, dtype=np.float64))
-
-
-def gg_prime(x, p):
-    return log_coeffs(x, p)[2]
 
 
 def reproduction_numbers(p):

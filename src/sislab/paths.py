@@ -1,35 +1,30 @@
 """Reproducible Brownian increments on a fine grid, with exact dyadic
-coarsening and a small binary dump format.
+coarsening.
 
 Every path is an independent counter-based stream keyed by
 (base_seed, path_index), so a path's draws never depend on how many other
 paths were generated, in which order, or in which chunk. The same
 streams can be read forward in time blocks (PathStreams), and blocks of any
 lengths concatenate, bit for bit, to the whole-path draw of generate.
+Only dW is carried: the stepping kernels rebuild dZeta = (dW^2 - h) / 2 at
+their own step size.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BrownianGrid",
-    "LevyAreaIncrement",
     "LevyIncrements",
     "PathStreams",
     "coarsen",
     "generate",
-    "load_increments",
     "path_rng",
-    "save_increments",
 ]
-
-# little-endian: t_final f64, fine_steps u64, base_seed u64, path_index u64
-_HEADER = struct.Struct("<dQQQ")
 
 
 def path_rng(base_seed, path_index):
@@ -50,7 +45,6 @@ class BrownianGrid:
     t_final: float
     fine_steps: int
     increments: np.ndarray
-    seed_record: tuple
 
     @property
     def h_fine(self):
@@ -65,8 +59,7 @@ def generate(base_seed, path_index, t_final, fine_steps):
         raise ValueError("t_final must be positive")
     h = t_final / fine_steps
     inc = path_rng(base_seed, path_index).standard_normal(fine_steps) * math.sqrt(h)
-    return BrownianGrid(t_final=t_final, fine_steps=fine_steps, increments=inc,
-                        seed_record=(base_seed % 2**64, path_index % 2**64))
+    return BrownianGrid(t_final=t_final, fine_steps=fine_steps, increments=inc)
 
 
 class PathStreams:
@@ -99,34 +92,23 @@ class PathStreams:
 
 
 @dataclass(frozen=True)
-class LevyAreaIncrement:
-    """One step's driving pair (dW, dZeta), dZeta = (dW^2 - h) / 2."""
-
-    dW: float
-    dZeta: float
-
-
-@dataclass(frozen=True)
 class LevyIncrements:
-    """Step size plus the full (dW, dZeta) arrays for one path."""
+    """Step size plus the dW array of one path; the kernels rebuild
+    dZeta = (dW^2 - h) / 2 from dW."""
 
     h: float
     dW: np.ndarray
-    dZeta: np.ndarray
 
     def __len__(self):
         return len(self.dW)
-
-    def __getitem__(self, k):
-        return LevyAreaIncrement(dW=float(self.dW[k]), dZeta=float(self.dZeta[k]))
 
 
 def coarsen(grid, level):
     """Aggregate 2**level consecutive fine increments per coarse step.
 
-    The coarse dW is the exact numpy cell sum of its fine increments; dZeta is
-    always rebuilt from the coarse dW (never summed), since the identity
-    dZeta = (dW^2 - h)/2 must hold at the coarse step size.
+    The coarse dW is the exact numpy cell sum of its fine increments. dZeta
+    is never summed: the kernels rebuild it from the coarse dW, since the
+    identity dZeta = (dW^2 - h)/2 must hold at the coarse step size.
     """
     width = 1 << level
     m, rem = divmod(grid.fine_steps, width)
@@ -138,23 +120,4 @@ def coarsen(grid, level):
         dw = grid.increments
     else:
         dw = grid.increments.reshape(m, width).sum(axis=1)
-    dz = 0.5 * (dw * dw) - 0.5 * h
-    return LevyIncrements(h=h, dW=dw, dZeta=dz)
-
-
-def save_increments(grid, path):
-    """Dump a grid to a flat little-endian binary file."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(grid.t_final, grid.fine_steps, *grid.seed_record))
-        fh.write(np.ascontiguousarray(grid.increments, dtype="<f8").tobytes())
-
-
-def load_increments(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    t_final, fine_steps, seed, idx = _HEADER.unpack_from(raw, 0)
-    inc = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).copy()
-    if len(inc) != fine_steps:
-        raise ValueError(f"{path}: expected {fine_steps} increments, found {len(inc)}")
-    return BrownianGrid(t_final=t_final, fine_steps=fine_steps, increments=inc,
-                        seed_record=(seed, idx))
+    return LevyIncrements(h=h, dW=dw)

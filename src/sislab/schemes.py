@@ -2,17 +2,18 @@
 unguarded direct Milstein scheme it is measured against.
 
 The log-space scheme advances Y ~ log I by one Milstein step and, whenever
-the raw step lands at or above log N, resets it to log N - alpha h^theta.
-That single reset keeps every iterate strictly inside the state domain for
-any step size. The direct scheme applies Milstein to I itself with no guard:
-it is expected to leave (0, N) and to overflow at coarse steps, and the
+the raw step lands at or above log N, resets it to log N - alpha h^theta
+(or to the double just below log N, where that shift rounds away). That
+single reset keeps every iterate Y finite and strictly below log N for any
+step size. The direct scheme applies Milstein to I itself with no guard: it
+is expected to leave (0, N) and to overflow at coarse steps, and the
 bookkeeping here records exactly where that happens instead of hiding it.
 
 Each scheme has one batch kernel, lcm_evolve and milstein_evolve. The
 single-path functions lcm_simulate and milstein_direct_simulate are 1-row
 views of it, so a path run alone is bit-identical to the same path run as a
-row of a batch. lcm_step evaluates lcm_evolve's update expression on one
-state.
+row of a batch. Both kernels take dW only and rebuild dZeta = (dW^2 - h) / 2
+from it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "Trajectory",
     "lcm_evolve",
     "lcm_simulate",
-    "lcm_step",
     "milstein_direct_simulate",
     "milstein_evolve",
     "trajectory_to_csv",
@@ -81,22 +81,6 @@ class Trajectory:
     exploded: bool = False
 
 
-def _lcm_update(y, dw, dz, p, h):
-    fy, gy, ggy = log_coeffs(y, p)
-    return y + fy * h + gy * dw + ggy * dz
-
-
-def lcm_step(y, dw, dz, p, s):
-    """One log-space step from state y. Returns (y_next, truncated)."""
-    if not (math.isfinite(y) and math.isfinite(dw) and math.isfinite(dz)):
-        raise ValueError("state and increments must be finite")
-    log_n = math.log(p.N)
-    ybar = float(_lcm_update(np.array([y]), np.array([dw]), np.array([dz]), p, s.h)[0])
-    if ybar >= log_n:
-        return log_n - s.alpha * s.h**s.theta, True
-    return ybar, False
-
-
 @dataclass
 class LcmBatch:
     """Batch evolution output: final states plus optional recordings."""
@@ -111,9 +95,10 @@ def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
     """Evolve a batch of log-space paths from y0, one start state per row or
     a scalar shared by all rows.
 
-    dw has one row per path and one column per step; dZeta is rebuilt from dw
-    internally. With record_stride=r, y_snaps holds every r-th state including
-    the initial one; with record_flags=True, flags marks each truncated step.
+    dw has one row per path and one column per step; dZeta = (dW^2 - h) / 2
+    is rebuilt from dw internally. With record_stride=r, y_snaps holds every
+    r-th state including the initial one; with record_flags=True, flags
+    marks each truncated step.
     A run split at any step and resumed from y_final equals one call bit for
     bit (trunc_counts add up), so callers may feed increments in time blocks.
     Non-finite start states or increments raise ValueError.
@@ -123,7 +108,9 @@ def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
     dw = np.asarray(dw, dtype=np.float64)
     n_paths, steps = dw.shape
     log_n = math.log(p.N)
-    reset = log_n - s.alpha * s.h**s.theta
+    # at fine h, alpha h^theta can be under half an ulp of log N (from
+    # h = 2^-24 at N = 100, alpha = 0.1, theta = 2): never reset onto log N
+    reset = min(log_n - s.alpha * s.h**s.theta, math.nextafter(log_n, -math.inf))
 
     y = np.full(n_paths, y0, dtype=np.float64)
     if not (np.isfinite(y).all() and np.isfinite(dw).all()):
@@ -142,7 +129,8 @@ def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
     for k in range(steps):
         w = dw_cols[k]
         dz = 0.5 * (w * w) - half_h
-        y = _lcm_update(y, w, dz, p, h)
+        fy, gy, ggy = log_coeffs(y, p)
+        y = y + fy * h + gy * w + ggy * dz
         hit = y >= log_n
         np.copyto(y, reset, where=hit)
         counts += hit
@@ -156,8 +144,7 @@ def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
 def lcm_simulate(inc, p, s):
     """Run the log-space scheme along one path of increments.
 
-    Accepts either a LevyIncrements sequence or a BrownianGrid (used at its
-    fine step).
+    Accepts a LevyIncrements or a BrownianGrid (used at its fine step).
     """
     if isinstance(inc, BrownianGrid):
         inc = coarsen(inc, 0)
@@ -277,7 +264,7 @@ def milstein_direct_simulate(inc, p):
     """Run the direct scheme along one path, recording where it first produces
     a forbidden state (negative, above N, or non-finite; see milstein_evolve)
     and where it stops being finite. A 1-row view of milstein_evolve, which
-    rebuilds dZeta from inc.dW as LevyIncrements defines it.
+    rebuilds dZeta from inc.dW.
     """
     values = milstein_evolve(p.I0, inc.dW[None, :], inc.h, p).i_snaps[0]
     outside = np.flatnonzero(~((values >= 0.0) & (values <= p.N)))

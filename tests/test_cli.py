@@ -240,6 +240,21 @@ class TestCliErrors:
         assert err.startswith("config error: scheme: h = 1e+200 is too large")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "dynamics"])
+    def test_horizon_not_whole_steps_is_config_error(self, tmp_path, capsys, command):
+        # both commands check the horizon with the one whole-steps check in
+        # sislab.analysis, before any output is opened
+        text = (DYN_EXT_CFG.replace("t_final = 5", "t_final = 1")
+                .replace("h = 2^-2", "h = 0.3")
+                .replace("step_sizes = 2^-2 2^-1", "step_sizes = 0.3"))
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_final 1.0 is not a whole number")
+        assert "Traceback" not in err
+        assert not out.is_file() and not list(tmp_path.rglob("dynamics_*.csv"))
+
     def test_gap_regime_dynamics_is_precondition_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DYN_GAP_CFG)
         assert main(["dynamics", "--config", path, "--out", str(tmp_path / "o")]) == 4

@@ -16,11 +16,7 @@ from sislab.model import (
     diffusion_original,
     drift_original,
     extinction_case,
-    f,
     f_max_sigma,
-    g,
-    g_prime,
-    gg_prime,
     log_coeffs,
     persistence_alpha_bound,
     persistence_lambda,
@@ -79,36 +75,44 @@ class TestOriginalCoefficients:
 
 
 class TestLogCoefficients:
+    """log_coeffs returns (f, g, g g') of the log-transformed state."""
+
     def test_f_far_left_limit(self):
         # e^x underflows; f must settle at beta*N - mu - gamma - sigma^2 N^2 / 2 = -1
-        assert f(-800.0, P_CONV1) == pytest.approx(-1.0, rel=1e-15)
+        assert log_coeffs(-800.0, P_CONV1)[0] == pytest.approx(-1.0, rel=1e-15)
 
     def test_f_at_zero(self):
         # oracle: -0.02 - 0.1 - 1 = -1.12
-        assert f(0.0, P_CONV1) == pytest.approx(-1.12, rel=1e-15)
+        assert log_coeffs(0.0, P_CONV1)[0] == pytest.approx(-1.12, rel=1e-15)
 
     def test_g_boundary_zero(self):
         # exp(log N) lands one ulp above N, so the zero is exact only in the
         # I coordinate (see diffusion_original); here it is zero to round-off
-        assert abs(g(math.log(10.0), P_CONV1)) <= 1e-15
+        assert abs(log_coeffs(math.log(10.0), P_CONV1)[1]) <= 1e-15
 
     def test_g_and_gg_prime_at_zero(self):
-        # oracle: 0.2*(10-1) = 1.8 and -0.04*1*9 = -0.36
-        assert g(0.0, P_CONV1) == pytest.approx(1.8, rel=1e-15)
-        assert g_prime(0.0, P_CONV1) == pytest.approx(-0.2, rel=1e-15)
-        assert gg_prime(0.0, P_CONV1) == pytest.approx(-0.36, rel=1e-15)
+        # oracle: 0.2*(10-1) = 1.8, g' = -0.2 e^0 and -0.04*1*9 = -0.36
+        _, gx, ggx = log_coeffs(0.0, P_CONV1)
+        assert gx == pytest.approx(1.8, rel=1e-15)
+        assert ggx / gx == pytest.approx(-0.2, rel=1e-15)
+        assert ggx == pytest.approx(-0.36, rel=1e-15)
 
     def test_f_vanishes_at_log_lambda(self):
         # identity: the transformed-coordinate root sits at log(lambda)
         lam = persistence_lambda(P_PERS, tol=1e-12)
-        assert abs(f(math.log(lam), P_PERS)) <= 1e-11
+        assert abs(log_coeffs(math.log(lam), P_PERS)[0]) <= 1e-11
 
     def test_log_coeffs_matches_separate_functions(self):
+        # Ito's formula on the original coefficients a(I), b(I) at I = e^x:
+        # f = a/I - (b/I)^2 / 2, g = b/I, g g' = g * (-sigma I)
         x = np.linspace(-5.0, 2.0, 23)
+        I = np.exp(x)
+        a = drift_original(I, P_CONV1)
+        b = diffusion_original(I, P_CONV1)
         fx, gx, ggx = log_coeffs(x, P_CONV1)
-        np.testing.assert_array_equal(fx, f(x, P_CONV1))
-        np.testing.assert_array_equal(gx, g(x, P_CONV1))
-        np.testing.assert_array_equal(ggx, gg_prime(x, P_CONV1))
+        np.testing.assert_allclose(fx, a / I - 0.5 * (b / I) ** 2, rtol=1e-13)
+        np.testing.assert_allclose(gx, b / I, rtol=1e-13)
+        np.testing.assert_allclose(ggx, -P_CONV1.sigma * b, rtol=1e-13)
 
 
 class TestReproductionNumbers:
@@ -157,7 +161,7 @@ class TestExtinctionThreshold:
         for p in (P_CONV1, P_EXT):
             fmax = f_max_sigma(p)
             x = rng.uniform(-20.0, math.log(p.N), size=10_000)
-            assert np.all(f(x, p) <= fmax + 1e-12)
+            assert np.all(log_coeffs(x, p)[0] <= fmax + 1e-12)
 
 
 class TestPersistenceLambda:
@@ -248,7 +252,7 @@ class TestMonotonicitySplit:
     def test_decreasing_when_sigma2N_below_beta(self):
         # P_CONV1: sigma^2 N = 0.4 <= beta = 0.5
         x = np.linspace(-20.0, math.log(10.0) - 1e-9, 2000)
-        fx = f(x, P_CONV1)
+        fx = log_coeffs(x, P_CONV1)[0]
         assert np.all(np.diff(fx) < 0.0)
 
     def test_single_peak_when_sigma2N_above_beta(self):
@@ -257,7 +261,7 @@ class TestMonotonicitySplit:
         # the peak sits within 0.006 of log N, so the grid must be fine enough
         # to leave whole intervals on its right side
         x = np.linspace(-20.0, math.log(100.0) - 1e-9, 40001)
-        fx = f(x, p)
+        fx = log_coeffs(x, p)[0]
         d = np.diff(fx)
         fully_left = x[1:] < x_star - 1e-6
         fully_right = x[:-1] > x_star + 1e-6

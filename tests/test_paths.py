@@ -1,20 +1,12 @@
-"""Brownian grid generation, coarse aggregation, and the binary dump format."""
+"""Brownian grid generation, block reads of the same streams, and coarse
+aggregation."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sislab.paths import (
-    BrownianGrid,
-    LevyAreaIncrement,
-    PathStreams,
-    coarsen,
-    generate,
-    load_increments,
-    path_rng,
-    save_increments,
-)
+from sislab.paths import BrownianGrid, PathStreams, coarsen, generate, path_rng
 
 
 class TestGenerate:
@@ -22,7 +14,6 @@ class TestGenerate:
         a = generate(base_seed=42, path_index=3, t_final=1.0, fine_steps=256)
         b = generate(base_seed=42, path_index=3, t_final=1.0, fine_steps=256)
         np.testing.assert_array_equal(a.increments, b.increments)
-        assert a.seed_record == (42, 3)
 
     def test_distinct_paths_differ(self):
         a = generate(42, 0, 1.0, 256)
@@ -99,30 +90,28 @@ class TestCoarsen:
         grid = generate(5, 0, 1.0, 64)
         inc = coarsen(grid, 0)
         np.testing.assert_array_equal(inc.dW, grid.increments)
-        np.testing.assert_array_equal(inc.dZeta, 0.5 * inc.dW**2 - 0.5 * grid.h_fine)
+        assert inc.h == grid.h_fine
 
     def test_pairwise_additivity(self):
         grid = BrownianGrid(t_final=1.0, fine_steps=2,
-                            increments=np.array([0.25, -0.0625]), seed_record=(0, 0))
+                            increments=np.array([0.25, -0.0625]))
         inc = coarsen(grid, 1)
         assert len(inc) == 1
         assert inc.dW[0] == 0.25 + -0.0625
 
     def test_zero_increment_dzeta(self):
         grid = BrownianGrid(t_final=1.0, fine_steps=4,
-                            increments=np.zeros(4), seed_record=(0, 0))
+                            increments=np.zeros(4))
         inc = coarsen(grid, 2)
         assert inc.h == 1.0
-        assert inc.dZeta[0] == -0.5
+        assert inc.dW[0] == 0.0
+        assert 0.5 * inc.dW[0] ** 2 - 0.5 * inc.h == -0.5  # the dZeta a kernel builds
 
     def test_sequence_protocol(self):
+        # len() counts coarse steps, as lcm_simulate uses it for the time grid
         grid = generate(5, 0, 1.0, 16)
         inc = coarsen(grid, 2)
-        assert len(inc) == 4
-        item = inc[1]
-        assert isinstance(item, LevyAreaIncrement)
-        assert item.dW == inc.dW[1]
-        assert item.dZeta == 0.5 * item.dW**2 - 0.5 * inc.h
+        assert len(inc) == len(inc.dW) == 4
 
     def test_exact_cell_sums(self):
         # each coarse increment must equal the numpy reduction of its fine cell
@@ -148,34 +137,12 @@ class TestCoarsen:
             coarsen(grid, 3)  # 8 does not divide 12
 
     def test_martingale_moments(self):
-        # E[dZeta] = 0 and E[dW dZeta] = 0, each within 4 standard errors
+        # E[dZeta] = 0 and E[dW dZeta] = 0, each within 4 standard errors, for
+        # dZeta = (dW^2 - h) / 2 as the kernels build it
         grid = generate(base_seed=77, path_index=0, t_final=200.0, fine_steps=200_000)
         inc = coarsen(grid, 0)
         n = len(inc)
-        for s in (inc.dZeta, inc.dW * inc.dZeta):
+        dz = 0.5 * inc.dW**2 - 0.5 * inc.h
+        for s in (dz, inc.dW * dz):
             se = s.std() / math.sqrt(n)
             assert abs(s.mean()) < 4.0 * se
-
-
-class TestBinaryDump:
-    def test_round_trip(self, tmp_path):
-        grid = generate(base_seed=123, path_index=45, t_final=2.5, fine_steps=512)
-        fname = tmp_path / "path.bin"
-        save_increments(grid, fname)
-        back = load_increments(fname)
-        assert back.t_final == grid.t_final
-        assert back.fine_steps == grid.fine_steps
-        assert back.seed_record == grid.seed_record
-        np.testing.assert_array_equal(back.increments, grid.increments)
-
-    def test_layout_is_little_endian_f64(self, tmp_path):
-        import struct
-
-        grid = BrownianGrid(t_final=1.0, fine_steps=2,
-                            increments=np.array([1.5, -2.25]), seed_record=(7, 9))
-        fname = tmp_path / "p.bin"
-        save_increments(grid, fname)
-        raw = fname.read_bytes()
-        t, m, seed, idx = struct.unpack("<dQQQ", raw[:32])
-        assert (t, m, seed, idx) == (1.0, 2, 7, 9)
-        assert struct.unpack("<2d", raw[32:]) == (1.5, -2.25)

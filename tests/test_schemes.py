@@ -1,4 +1,5 @@
-"""LCM and direct-Milstein steppers: hand oracles, domain guarantees, explosion
+"""LCM and direct-Milstein steppers: hand oracles, per-step references,
+domain guarantees (by property, on derandomized hypothesis draws), explosion
 handling.
 
 Hand-substitution oracles were derived in tools/derive_oracles.py before the
@@ -10,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sislab import schemes
 from sislab.model import ModelParams, diffusion_original, drift_original, log_coeffs
@@ -19,7 +22,6 @@ from sislab.schemes import (
     Trajectory,
     lcm_evolve,
     lcm_simulate,
-    lcm_step,
     milstein_direct_simulate,
     milstein_evolve,
     trajectory_to_csv,
@@ -64,19 +66,26 @@ class TestSchemeParams:
         assert math.isfinite(s.alpha * s.h**s.theta)
 
 
+def lcm_one_step(y, dw, p, s):
+    """One log-space step from state y: a one-step, 1-row kernel call
+    (dZeta = (dw^2 - h) / 2 is rebuilt inside). Returns (y_next, truncated)."""
+    out = lcm_evolve(y, np.array([[dw]]), s.h, p, s, record_flags=True)
+    return float(out.y_final[0]), bool(out.flags[0, 0])
+
+
 class TestLcmStep:
     S = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
 
     def test_hand_substitution(self):
         # oracle: Ybar = 0 + (-1.12)(0.25) + 0 + (-0.36)(-0.125) = -0.235
-        y1, truncated = lcm_step(0.0, 0.0, -0.125, P_CONV1, self.S)
+        y1, truncated = lcm_one_step(0.0, 0.0, P_CONV1, self.S)
         assert y1 == pytest.approx(-0.235, rel=1e-13)
         assert not truncated
 
     def test_truncation_branch(self):
         # the one-step map is a downward parabola in dW (gg' < 0); its vertex
         # dW = 5 gives Ybar = -0.235 + 9 - 4.5 = 4.265 >= log 10, forcing a reset
-        y1, truncated = lcm_step(0.0, 5.0, 0.5 * 5.0**2 - 0.125, P_CONV1, self.S)
+        y1, truncated = lcm_one_step(0.0, 5.0, P_CONV1, self.S)
         assert truncated
         assert y1 == math.log(P_CONV1.N) - self.S.alpha * self.S.h**self.S.theta
         assert y1 < math.log(P_CONV1.N)
@@ -87,10 +96,10 @@ class TestLcmStep:
         for _ in range(200):
             y = rng.uniform(-8.0, 1.5)
             dw = rng.normal(0.0, 0.5)
-            dz = 0.5 * dw**2 - 0.125
+            dz = 0.5 * (dw * dw) - 0.125
             fy, gy, ggy = log_coeffs(y, P_CONV1)
             expected = y + fy * self.S.h + gy * dw + ggy * dz
-            got, truncated = lcm_step(y, dw, dz, P_CONV1, self.S)
+            got, truncated = lcm_one_step(y, dw, P_CONV1, self.S)
             if expected < math.log(P_CONV1.N):
                 assert not truncated
                 assert got == expected
@@ -99,9 +108,9 @@ class TestLcmStep:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            lcm_step(float("nan"), 0.0, -0.125, P_CONV1, self.S)
+            lcm_one_step(float("nan"), 0.0, P_CONV1, self.S)
         with pytest.raises(ValueError):
-            lcm_step(0.0, float("inf"), -0.125, P_CONV1, self.S)
+            lcm_one_step(0.0, float("inf"), P_CONV1, self.S)
 
     def test_single_step_mean(self):
         # E[Y_1] = Y_0 + f(Y_0) h since dW and dZeta are centered; 5 SE window
@@ -113,6 +122,17 @@ class TestLcmStep:
         fy, _, _ = log_coeffs(0.0, P_CONV1)
         se = y1.std() / math.sqrt(n)
         assert abs(y1.mean() - fy * self.S.h) < 5.0 * se
+
+    @pytest.mark.parametrize("h", [2.0**-20, 2.0**-24, 2.0**-30])
+    def test_reset_stays_below_log_n_at_fine_steps(self, h):
+        # regression: from h = 2^-24, alpha h^theta is under half an ulp of
+        # log 100, and the reset once set Y = log N exactly (I = 100.00000000000004).
+        # dW at the vertex of the one-step parabola forces a truncation at any h.
+        s = SchemeParams(h=h, alpha=0.1, theta=2.0)
+        _, g0, gg0 = log_coeffs(0.0, P_EXT)
+        y1, truncated = lcm_one_step(0.0, float(-g0 / gg0), P_EXT, s)
+        assert truncated
+        assert y1 < math.log(P_EXT.N)
 
 
 class TestLcmSimulate:
@@ -137,7 +157,7 @@ class TestLcmSimulate:
         count = 0
         y = math.log(p.I0)
         for k in range(len(inc)):
-            y, truncated = lcm_step(y, inc.dW[k], inc.dZeta[k], p, s)
+            y, truncated = lcm_one_step(y, inc.dW[k], p, s)
             count += truncated
         assert traj.truncation_count == count
         assert traj.truncation_count == int(traj.truncated.sum())
@@ -187,8 +207,7 @@ class TestLcmEvolveBatch:
         for i in range(5):
             y = math.log(P_EXT.I0)
             for k in range(8):
-                dz = 0.5 * dw[i, k] ** 2 - 0.5 * s.h
-                y, _ = lcm_step(y, dw[i, k], dz, P_EXT, s)
+                y, _ = lcm_one_step(y, dw[i, k], P_EXT, s)
             assert y == out.y_snaps[i, -1]
 
     def test_record_stride(self):
@@ -206,6 +225,79 @@ class TestLcmEvolveBatch:
         out = lcm_evolve(math.log(p.I0), dw, s.h, p, s, record_flags=True)
         np.testing.assert_array_equal(out.trunc_counts, out.flags.sum(axis=1))
         assert out.trunc_counts.min() > 0
+
+
+def lcm_reference(y0, dw, p, s):
+    """The log-space scheme one step at a time: the Milstein step on Y from
+    log_coeffs, then any state at or above log N reset to log N - alpha h^theta,
+    or to the double just below log N if that shift rounds away. Returns
+    (every state, truncation flags)."""
+    log_n = math.log(p.N)
+    reset = min(log_n - s.alpha * s.h**s.theta, math.nextafter(log_n, -math.inf))
+    y = np.broadcast_to(np.asarray(y0, dtype=np.float64), dw.shape[:1])
+    states, flags = [y], []
+    for w in dw.T:
+        fy, gy, ggy = log_coeffs(y, p)
+        ybar = y + fy * s.h + gy * w + ggy * (0.5 * (w * w) - 0.5 * s.h)
+        flags.append(ybar >= log_n)
+        y = np.where(flags[-1], reset, ybar)
+        states.append(y)
+    return np.stack(states, axis=1), np.array(flags).T
+
+
+class TestLcmEvolveReference:
+    """lcm_evolve equals the per-step reference bit for bit, at every width,
+    step count, recording mode, and split point."""
+
+    # sigma = 0.01 truncates about every other step at h = 1/4; P_CONV1 from
+    # I = 1 at h = 2^-4 never comes near log N
+    CASES = {
+        "truncating": (
+            ModelParams(N=100, beta=0.42, sigma=0.01, mu_plus_gamma=10.0, I0=10.0),
+            SchemeParams(h=0.25, alpha=0.1, theta=2.0)),
+        "inside": (P_CONV1, SchemeParams(h=2.0**-4, alpha=0.1, theta=2.0)),
+    }
+
+    @classmethod
+    def case(cls, name, width, steps):
+        p, s = cls.CASES[name]
+        rng = np.random.default_rng(100 * width + steps)
+        dw = rng.normal(0.0, math.sqrt(s.h), size=(width, steps))
+        y0 = math.log(p.I0) + rng.uniform(-1.0, 1.0, size=width)
+        return p, s, y0, dw
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("steps", [1, 2, 37, 200])
+    @pytest.mark.parametrize("width", [1, 7, 128])
+    def test_matches_per_step_reference(self, name, width, steps):
+        p, s, y0, dw = self.case(name, width, steps)
+        ref, flags = lcm_reference(y0, dw, p, s)
+        for stride in (None, 1, 4):
+            if stride and steps % stride:
+                continue
+            out = lcm_evolve(y0, dw, s.h, p, s, record_stride=stride,
+                             record_flags=True)
+            np.testing.assert_array_equal(out.y_final, ref[:, -1])
+            np.testing.assert_array_equal(out.flags, flags)
+            np.testing.assert_array_equal(out.trunc_counts, flags.sum(axis=1))
+            if stride is None:
+                assert out.y_snaps is None
+            else:
+                np.testing.assert_array_equal(out.y_snaps, ref[:, ::stride])
+        if name == "inside":
+            assert not flags.any()
+        elif width * steps >= 37:
+            assert flags.any()
+
+    @pytest.mark.parametrize("k", [1, 36, 100])
+    def test_split_and_resume_matches_reference(self, k):
+        p, s, y0, dw = self.case("truncating", 7, 200)
+        ref, flags = lcm_reference(y0, dw, p, s)
+        a = lcm_evolve(y0, dw[:, :k], s.h, p, s, record_stride=1, record_flags=True)
+        b = lcm_evolve(a.y_final, dw[:, k:], s.h, p, s, record_stride=1,
+                       record_flags=True)
+        np.testing.assert_array_equal(np.hstack([a.y_snaps, b.y_snaps[:, 1:]]), ref)
+        np.testing.assert_array_equal(np.hstack([a.flags, b.flags]), flags)
 
 
 class TestSplitRuns:
@@ -422,7 +514,7 @@ class TestMilsteinSimulate:
     def test_explosion_freezes_trajectory(self):
         # force explosion with a handcrafted increment sequence
         big = np.array([50.0, 50.0, 50.0, 50.0, 0.0, 0.0])
-        inc = LevyIncrements(h=0.25, dW=big, dZeta=0.5 * big**2 - 0.125)
+        inc = LevyIncrements(h=0.25, dW=big)
         traj = milstein_direct_simulate(inc, P_EXT)
         assert traj.exploded
         assert traj.domain_violation
@@ -436,8 +528,7 @@ class TestMilsteinSimulate:
         # the iterate leaves (0,N) long before it overflows: stepping must keep
         # going through the finite-but-invalid stretch and only freeze at the
         # first non-finite state
-        dw = np.zeros(12)
-        inc = LevyIncrements(h=0.25, dW=dw, dZeta=0.5 * dw**2 - 0.125)
+        inc = LevyIncrements(h=0.25, dW=np.zeros(12))
         traj = milstein_direct_simulate(inc, P_EXT)
         assert traj.domain_violation and traj.exploded
         assert traj.violation_index < traj.explosion_index
@@ -470,8 +561,7 @@ class TestMilsteinSimulate:
         dw = np.vstack([generate(13, i, 1.0, 16).increments for i in range(3)])
         out = milstein_evolve(P_EXT.I0, dw, 1.0 / 16, P_EXT, record_stride=1)
         for i in range(3):
-            inc = LevyIncrements(h=1.0 / 16, dW=dw[i],
-                                 dZeta=0.5 * dw[i] ** 2 - 0.5 / 16)
+            inc = LevyIncrements(h=1.0 / 16, dW=dw[i])
             traj = milstein_direct_simulate(inc, P_EXT)
             got = out.i_snaps[i]
             mask = np.isfinite(traj.values)
@@ -505,6 +595,68 @@ class TestDomainPreservationProperty:
             assert np.all(np.isfinite(y)), (p, s)
             assert np.all(y < math.log(N)), (p, s)
             draws += n_paths
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+@st.composite
+def scheme_cases(draw, max_width=1, max_steps=1):
+    """A scheme and model from the range the domain guarantee covers, start
+    states in [-50, log N), and increments z sqrt(h) with |z| <= 1e3."""
+    h = 2.0 ** draw(st.integers(-40, 10))
+    s = SchemeParams(h=h, alpha=draw(st.floats(0.0, 1.0, exclude_min=True)),
+                     theta=draw(st.floats(1.5, 4.0)))
+    n = draw(st.floats(1.01, 1e6))
+    p = ModelParams(N=n, beta=0.42, sigma=0.9, mu_plus_gamma=10.0, I0=0.5 * n)
+    width = draw(st.integers(1, max_width))
+    steps = draw(st.integers(1, max_steps))
+    log_n = math.log(n)
+    y0 = np.array(draw(st.lists(st.floats(-50.0, log_n, exclude_max=True),
+                                min_size=width, max_size=width)))
+    z = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=width * steps,
+                               max_size=width * steps)))
+    return p, s, y0, z.reshape(width, steps) * math.sqrt(h)
+
+
+class TestDomainProperty:
+    """Y stays finite and strictly below log N for any h > 0, alpha in (0, 1]
+    and theta >= 3/2, and split runs equal one call, on drawn inputs."""
+
+    @PROPERTY
+    @given(scheme_cases())
+    def test_one_step_stays_below_log_n(self, case):
+        p, s, y0, dw = case
+        y1 = lcm_evolve(y0, dw, s.h, p, s).y_final
+        assert np.isfinite(y1).all()
+        assert (y1 < math.log(p.N)).all()
+
+    @PROPERTY
+    @given(scheme_cases(max_width=4, max_steps=12), st.integers(1, 11))
+    def test_lcm_split_equals_one_call(self, case, k):
+        p, s, y0, dw = case
+        k = min(k, dw.shape[1])
+        whole = lcm_evolve(y0, dw, s.h, p, s)
+        a = lcm_evolve(y0, dw[:, :k], s.h, p, s)
+        b = lcm_evolve(a.y_final, dw[:, k:], s.h, p, s)
+        np.testing.assert_array_equal(b.y_final, whole.y_final)
+        np.testing.assert_array_equal(a.trunc_counts + b.trunc_counts,
+                                      whole.trunc_counts)
+        assert np.isfinite(whole.y_final).all()
+        assert (whole.y_final < math.log(p.N)).all()
+
+    @PROPERTY
+    @given(scheme_cases(max_width=4, max_steps=12), st.integers(1, 11))
+    def test_milstein_split_equals_one_call(self, case, k):
+        p, s, y0, dw = case
+        k = min(k, dw.shape[1])
+        i0 = np.exp(y0)
+        whole = milstein_evolve(i0, dw, s.h, p, record_stride=None)
+        a = milstein_evolve(i0, dw[:, :k], s.h, p, record_stride=None)
+        b = milstein_evolve(a.i_final, dw[:, k:], s.h, p, record_stride=None)
+        np.testing.assert_array_equal(b.i_final, whole.i_final)
+        np.testing.assert_array_equal(a.violated | b.violated, whole.violated)
+        np.testing.assert_array_equal(a.exploded | b.exploded, whole.exploded)
 
 
 class TestTrajectoryCsv:

@@ -30,7 +30,7 @@ def test_tool_imports_only_public_names(script):
 
 
 def test_tools_are_found():
-    assert {p.name for p in TOOLS} >= {"diag_error_stat.py", "diag_violation.py",
+    assert {p.name for p in TOOLS} >= {"derive_oracles.py", "diag_error_stat.py",
                                        "kernel_bench.py"}
 
 
