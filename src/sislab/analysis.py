@@ -7,7 +7,12 @@ and reductions run once over those arrays in index order. Each path's stream
 is drawn once, forward in fixed time blocks, and the kernels carry their
 per-row states from block to block, so memory per chunk is bounded by chunk
 times block whatever the horizon. Chunk size and time blocks change memory
-use and wall time, never the numbers.
+use and wall time, never the numbers. Where several parameter sets step on
+the same increments (truncation_table), they run as parameter groups of one
+kernel call.
+
+Argument checks that a config can trip raise ConfigError, a ValueError the
+command line reports as a config error (exit 2).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .paths import PathStreams, generate
 from .schemes import SchemeParams, Trajectory, lcm_evolve, milstein_evolve
 
 __all__ = [
+    "ConfigError",
     "DynamicsThresholds",
     "DynamicsVerdict",
     "ErrorTable",
@@ -45,6 +51,12 @@ __all__ = [
     "write_rate_fit",
     "write_truncation_table",
 ]
+
+
+class ConfigError(ValueError):
+    """The experiment config is missing, malformed, or inconsistent: raised
+    where parsing or an experiment's own argument checks reject what a config
+    asks for. Any other ValueError is a fault in the program."""
 
 
 @dataclass(frozen=True)
@@ -70,15 +82,15 @@ def fit_rate(table):
     h = np.asarray(table.step_sizes, dtype=np.float64)
     e = np.asarray(table.errors, dtype=np.float64)
     if h.size < 2:
-        raise ValueError("rate fit needs at least two (h, error) rows")
+        raise ConfigError("rate fit needs at least two (h, error) rows")
     if np.any(h <= 0.0) or np.any(e <= 0.0):
-        raise ValueError("rate fit needs positive step sizes and errors")
+        raise ConfigError("rate fit needs positive step sizes and errors")
     x = np.log(h)
     y = np.log(e)
     dx = x - x.mean()
     sxx = float(np.dot(dx, dx))
     if sxx == 0.0:
-        raise ValueError("rate fit needs at least two distinct step sizes")
+        raise ConfigError("rate fit needs at least two distinct step sizes")
     q = float(np.dot(dx, y - y.mean()) / sxx)
     resid = y - y.mean() - q * dx
     return RateFit(q=q, residual=float(np.dot(resid, resid)))
@@ -87,10 +99,12 @@ def fit_rate(table):
 # Steps per time block (a power of two, so it holds whole coarse steps of
 # every dyadic level up to its own length).
 _BLOCK = 4096
-# truncation_table scales a copy of each block for every cell and runs wide
-# chunks (its steps are cheap, so per-step dispatch dominates), so it steps in
-# short blocks: chunk x block stays about 10^6 doubles.
-_TRUNCATION_BLOCK = 128
+# truncation_table steps all (set, I0) pairs of a step size in one call, pairs
+# x chunk rows wide (12 x 1,024 for configs/table4_sets.cfg; at 12 x 8,192
+# rows a step's rows no longer fit in cache and cost about 1.8x more per
+# path-step), and scales a copy of each block per step size, so it steps in
+# short blocks: chunk x block is 32,768 doubles.
+_TRUNCATION_BLOCK = 32
 # Paths per recording lcm_evolve call in lcm_trajectories.
 _TRAJECTORY_GROUP = 25
 
@@ -98,7 +112,7 @@ _TRAJECTORY_GROUP = 25
 def _whole_steps(t_final, h, what):
     steps = round(t_final / h)
     if steps < 1 or not math.isclose(steps * h, t_final, rel_tol=1e-9):
-        raise ValueError(f"{what} {t_final!r} is not a whole number of steps of {h!r}")
+        raise ConfigError(f"{what} {t_final!r} is not a whole number of steps of {h!r}")
     return steps
 
 
@@ -119,7 +133,7 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
         r = round(L / h_ref)
         if (r < 1 or not math.isclose(r * h_ref, L, rel_tol=1e-9)
                 or r & (r - 1) or fine_steps % r):
-            raise ValueError(
+            raise ConfigError(
                 f"level {L!r} must be a power-of-two multiple of the "
                 f"reference step {h_ref!r} that divides the horizon")
         ratios.append(r)
@@ -141,6 +155,7 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
                 # contiguous cell sums: any other summation axis changes bits
                 dwl = dwf if r == 1 else dwf.reshape(hi - lo, -1, r).sum(axis=2)
                 y_lev[li] = lcm_evolve(y_lev[li], dwl, s.h, params, s).y_final
+            dwf = dwl = None  # release this block before drawing the next
         iref = np.exp(y_ref)
         for li, y in enumerate(y_lev):
             gap2[li, lo:hi] = (iref - np.exp(y)) ** 2
@@ -179,50 +194,48 @@ class TruncationTable:
 
 
 def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
-                     chunk=8192, alpha=0.1, theta=2.0, labels=None):
+                     chunk=1024, alpha=0.1, theta=2.0, labels=None):
     """Percentage of steps the log-space scheme truncates, per parameter set,
     initial value, and step size.
 
     The denominator is total steps taken (n_paths times steps per path), so a
     path that truncates every other step contributes 50. Each path is drawn
-    once, at the largest step count; a cell with fewer steps runs on a prefix
-    of those normals, scaled to its step size, which is that step size's
-    whole-path draw bit for bit.
+    once, at the largest step count; a step size with fewer steps runs on a
+    prefix of those normals, scaled to its step size, which is that step
+    size's whole-path draw bit for bit. Every (set, I0) pair is one parameter
+    group of a single lcm_evolve call per step size and time block, so all
+    pairs step together on the same increments.
     """
     param_sets = list(param_sets)
     I0s = tuple(float(x) for x in I0s)
     hs = tuple(float(x) for x in hs)
     if labels is None:
         labels = tuple(range(1, len(param_sets) + 1))
-    percent = np.empty((len(param_sets), len(I0s), len(hs)))
-    cells = []  # (table index, model, scheme, start state, steps)
-    for si, p0 in enumerate(param_sets):
-        for ii, i0 in enumerate(I0s):
-            for hi_, h in enumerate(hs):
-                cells.append(((si, ii, hi_), replace(p0, I0=i0),
-                              SchemeParams(h=h, alpha=alpha, theta=theta),
-                              math.log(i0), _whole_steps(horizon, h, "horizon")))
-    longest = max((steps for *_, steps in cells), default=0)
-    counts = np.zeros((len(cells), n_paths), dtype=np.int64)
+    groups = [replace(p0, I0=i0) for p0 in param_sets for i0 in I0s]
+    schemes = [SchemeParams(h=h, alpha=alpha, theta=theta) for h in hs]
+    steps = [_whole_steps(horizon, h, "horizon") for h in hs]
+    y0 = np.array([math.log(q.I0) for q in groups])
+    longest = max(steps, default=0)
+    counts = np.zeros((len(hs), len(groups)), dtype=np.int64)
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
         streams = PathStreams(base_seed, lo, hi)
-        states = [y0 for _, _, _, y0, _ in cells]
+        states = [np.repeat(y0, hi - lo) for _ in hs]  # group-major rows
         for start in range(0, longest, _TRUNCATION_BLOCK):
-            # step-major once per block, so that no cell's kernel transposes
+            # step-major once per block, so that the kernels copy whole rows
             z = np.ascontiguousarray(
                 streams.normals(min(_TRUNCATION_BLOCK, longest - start)).T)
-            for c, (_, p, s, _, steps) in enumerate(cells):
-                if steps <= start:
+            for k, (s, n) in enumerate(zip(schemes, steps)):
+                if n <= start:
                     continue
-                dw = z[:steps - start] * math.sqrt(horizon / steps)
-                out = lcm_evolve(states[c], dw.T, s.h, p, s)
-                states[c] = out.y_final
-                counts[c, lo:hi] += out.trunc_counts
-    for c, (index, _, _, _, steps) in enumerate(cells):
-        percent[index] = 100.0 * counts[c].sum() / (n_paths * steps)
-    return TruncationTable(percent=percent, hs=hs, I0s=I0s,
-                           labels=tuple(labels))
+                dw = z[:n - start] * math.sqrt(horizon / n)
+                out = lcm_evolve(states[k], dw.T, s.h, groups, s)
+                states[k] = out.y_final
+                counts[k] += out.trunc_counts.reshape(len(groups), hi - lo).sum(axis=1)
+    percent = 100.0 * counts.T / (n_paths * np.array(steps, dtype=np.int64))
+    return TruncationTable(
+        percent=percent.reshape(len(param_sets), len(I0s), len(hs)), hs=hs,
+        I0s=I0s, labels=tuple(labels))
 
 
 def lcm_trajectories(params, scheme, t_final, n_paths, base_seed):
@@ -296,7 +309,7 @@ def classify_dynamics(traj, p, thresholds=None):
     times = np.asarray(traj.times, dtype=np.float64)
     t_span = float(times[-1] - times[0])
     if t_span < th.min_horizon:
-        raise ValueError(
+        raise ConfigError(
             f"horizon {t_span:g} is too short to classify dynamics "
             f"(need at least {th.min_horizon:g})")
     terminal = float(traj.values[-1])

@@ -1,10 +1,12 @@
 """Command-line front end: INI experiment configs driving the four workflows
 (simulate, convergence, dynamics, truncation).
 
-Exit codes: 0 success, 2 bad config or usage, 3 output I/O failure,
-4 parameters outside every supported regime. Numeric config values accept
-plain floats plus dyadic tokens like 2^-6, and serialize_config writes the
-same tokens back out, so parse(serialize(cfg)) == cfg.
+Exit codes: 0 success, 2 bad config or usage (ConfigError), 3 output I/O
+failure, 4 parameters outside every supported regime. Any other exception is
+a fault in the program: it escapes main, so the process exits 1 with a
+traceback. Numeric config values accept plain floats plus dyadic tokens like
+2^-6, and serialize_config writes the same tokens back out, so
+parse(serialize(cfg)) == cfg.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .analysis import (
+    ConfigError,
     _whole_steps,
     classify_dynamics,
     fit_rate,
@@ -42,10 +45,6 @@ __all__ = ["ConfigError", "ExperimentConfig", "main", "parse_config",
            "serialize_config"]
 
 _POWER_TOKEN = re.compile(r"2\^(-?\d+)")
-
-
-class ConfigError(Exception):
-    """The experiment config is missing, malformed, or inconsistent."""
 
 
 def _parse_float(token, where):
@@ -127,36 +126,41 @@ def parse_config(path):
             return default
         return conv(cp.get(section, key), f"{section}.{key}")
 
+    def checked(where, build, *args, **fields):
+        try:
+            return build(*args, **fields)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+
     for section in ("model", "scheme", "run"):
         if not cp.has_section(section):
             raise ConfigError(f"missing [{section}] section")
-    try:
-        model = ModelParams(N=need("model", "N"), beta=need("model", "beta"),
-                            sigma=need("model", "sigma"),
-                            mu_plus_gamma=need("model", "mu_plus_gamma"),
-                            I0=need("model", "I0"))
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    try:
-        scheme = SchemeParams(h=need("scheme", "h"),
-                              alpha=need("scheme", "alpha"),
-                              theta=need("scheme", "theta"))
-    except ValueError as exc:
-        raise ConfigError(f"scheme: {exc}") from exc
+    model = checked("model", ModelParams, N=need("model", "N"),
+                    beta=need("model", "beta"), sigma=need("model", "sigma"),
+                    mu_plus_gamma=need("model", "mu_plus_gamma"),
+                    I0=need("model", "I0"))
+    scheme = checked("scheme", SchemeParams, h=need("scheme", "h"),
+                     alpha=need("scheme", "alpha"), theta=need("scheme", "theta"))
+
+    def step_sizes(section, key, conv=_parse_float_list):
+        """Step sizes a command will run, each checked as the scheme's h."""
+        value = need(section, key, conv)
+        for h in value if isinstance(value, tuple) else (value,):
+            checked(f"{section}.{key}", replace, scheme, h=h)
+        return value
 
     kwargs = dict(model=model, scheme=scheme,
                   t_final=need("run", "t_final"),
                   n_paths=need("run", "n_paths", _parse_int),
                   base_seed=need("run", "base_seed", _parse_int))
     if cp.has_section("convergence"):
-        kwargs["levels"] = need("convergence", "levels", _parse_float_list)
-        kwargs["h_reference"] = need("convergence", "h_reference")
+        kwargs["levels"] = step_sizes("convergence", "levels")
+        kwargs["h_reference"] = step_sizes("convergence", "h_reference", _parse_float)
     if cp.has_section("dynamics"):
-        kwargs["dyn_step_sizes"] = need("dynamics", "step_sizes", _parse_float_list)
+        kwargs["dyn_step_sizes"] = step_sizes("dynamics", "step_sizes")
         kwargs["n_seeds"] = optional("dynamics", "n_seeds", _parse_int, 100)
     if cp.has_section("truncation"):
-        kwargs["trunc_step_sizes"] = need("truncation", "step_sizes",
-                                          _parse_float_list)
+        kwargs["trunc_step_sizes"] = step_sizes("truncation", "step_sizes")
         kwargs["trunc_i0"] = optional("truncation", "I0", _parse_float_list,
                                       (model.I0,))
         kwargs["horizon"] = optional("truncation", "horizon", _parse_float, None)
@@ -167,16 +171,16 @@ def parse_config(path):
             continue
         label = _parse_int(name[4:], name)
         n_val = need(name, "N")
-        try:
-            mp = ModelParams(N=n_val, beta=need(name, "beta"),
-                             sigma=need(name, "sigma"),
-                             mu_plus_gamma=need(name, "mu_plus_gamma"),
-                             I0=n_val / 2.0)  # placeholder; runs supply I0
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+        mp = checked(name, ModelParams, N=n_val, beta=need(name, "beta"),
+                     sigma=need(name, "sigma"),
+                     mu_plus_gamma=need(name, "mu_plus_gamma"),
+                     I0=n_val / 2.0)  # placeholder; runs supply I0
         sets.append((label, mp))
     sets.sort(key=lambda pair: pair[0])
     kwargs["sets"] = tuple(sets)
+    for _, mp in sets or [(None, model)]:  # the truncation command's sets
+        for i0 in kwargs.get("trunc_i0", ()):
+            checked("truncation.I0", replace, mp, I0=i0)
     return ExperimentConfig(**kwargs)
 
 
@@ -406,9 +410,6 @@ def main(argv=None):
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

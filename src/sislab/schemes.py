@@ -13,7 +13,10 @@ Each scheme has one batch kernel, lcm_evolve and milstein_evolve. The
 single-path functions lcm_simulate and milstein_direct_simulate are 1-row
 views of it, so a path run alone is bit-identical to the same path run as a
 row of a batch. Both kernels take dW only and rebuild dZeta = (dW^2 - h) / 2
-from it.
+from it, and step in place: every operation of a step writes into a
+preallocated row, and the per-step bookkeeping runs once per tile of steps.
+lcm_evolve also takes one ModelParams per group of rows, so many parameter
+sets step on shared increments in one call.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import log_coeffs
+from .model import ModelParams
+from .model import log_coeffs  # noqa: F401  perfbench/spans.py wraps it here
 from .paths import BrownianGrid, coarsen
 
 __all__ = [
@@ -91,54 +95,118 @@ class LcmBatch:
     flags: np.ndarray | None
 
 
+# Doubles in each of a kernel's tile buffers (states, dW, dZeta): a tile is
+# this many divided by the batch's row count steps long, and at least one step.
+_TILE_DOUBLES = 1 << 16
+
+
 def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
     """Evolve a batch of log-space paths from y0, one start state per row or
     a scalar shared by all rows.
 
-    dw has one row per path and one column per step; dZeta = (dW^2 - h) / 2
-    is rebuilt from dw internally. With record_stride=r, y_snaps holds every
-    r-th state including the initial one; with record_flags=True, flags
-    marks each truncated step.
+    p is one ModelParams or a sequence of G of them. dw has one row per
+    increment path and one column per step, and every group runs on all of
+    it: row g W + r of the batch uses p[g] and row r of dw, so y0, y_final,
+    trunc_counts and the recordings have G W rows (G = 1 for one ModelParams).
+    dZeta = (dW^2 - h) / 2 is rebuilt from dw internally. With
+    record_stride=r, y_snaps holds every r-th state including the initial
+    one; with record_flags=True, flags marks each truncated step.
     A run split at any step and resumed from y_final equals one call bit for
     bit (trunc_counts add up), so callers may feed increments in time blocks.
     Non-finite start states or increments raise ValueError.
+
+    Each step is np.exp plus log_coeffs' operations, in its order and
+    grouping, and the Milstein update ((y + f h) + g dW) + g g' dZeta, each a
+    ufunc call writing into a preallocated row; dZeta, the dW transpose and
+    the truncation counts are formed once per tile of steps.
     """
     if h != s.h:
         raise ValueError(f"step size {h} disagrees with scheme step {s.h}")
     dw = np.asarray(dw, dtype=np.float64)
-    n_paths, steps = dw.shape
-    log_n = math.log(p.N)
-    # at fine h, alpha h^theta can be under half an ulp of log N (from
-    # h = 2^-24 at N = 100, alpha = 0.1, theta = 2): never reset onto log N
-    reset = min(log_n - s.alpha * s.h**s.theta, math.nextafter(log_n, -math.inf))
-
-    y = np.full(n_paths, y0, dtype=np.float64)
-    if not (np.isfinite(y).all() and np.isfinite(dw).all()):
+    width, steps = dw.shape
+    groups = [p] if isinstance(p, ModelParams) else list(p)
+    n_rows = len(groups) * width
+    start = np.full(n_rows, y0, dtype=np.float64)
+    if not (np.isfinite(start).all() and np.isfinite(dw).all()):
         raise ValueError("start states and increments must be finite")
-    counts = np.zeros(n_paths, dtype=np.int64)
-    flags = np.zeros((n_paths, steps), dtype=bool) if record_flags else None
+    counts = np.zeros(n_rows, dtype=np.int64)
+    flags = np.zeros((n_rows, steps), dtype=bool) if record_flags else None
     snaps = None
     if record_stride is not None:
         if steps % record_stride:
             raise ValueError("record_stride must divide the step count")
-        snaps = np.empty((n_paths, steps // record_stride + 1))
-        snaps[:, 0] = y
+        snaps = np.empty((n_rows, steps // record_stride + 1))
+        snaps[:, 0] = start
 
+    table = []
+    for q in groups:
+        log_n = math.log(q.N)
+        s2 = q.sigma * q.sigma
+        table.append((
+            log_n,
+            # at fine h, alpha h^theta can be under half an ulp of log N (from
+            # h = 2^-24 at N = 100, alpha = 0.1, theta = 2): never reset onto log N
+            min(log_n - s.alpha * s.h**s.theta, math.nextafter(log_n, -math.inf)),
+            # log_coeffs' constants, formed as it forms them
+            -0.5 * s2, s2 * q.N - q.beta,
+            q.beta * q.N - q.mu_plus_gamma - 0.5 * s2 * q.N * q.N,
+            q.N, q.sigma, -s2, h))
+    # each constant is a full row, as a Python-float or broadcast operand
+    # costs more per call
+    log_n, reset, a1, a2, c0, big_n, sigma, neg_s2, step = np.repeat(
+        np.array(table, dtype=np.float64).reshape(-1, 9).T, width, axis=1)
+
+    tile = max(1, min(steps, _TILE_DOUBLES // max(n_rows, 1)))
+    states = np.empty((tile + 1, n_rows))  # row j + 1 is the state after row j's step
+    states[0] = start
+    w_tile, z_tile = np.empty((2, tile, n_rows))
+    hit_tile = np.empty((tile, n_rows), dtype=bool)
+    ex, fy, gy, ggy, n_ex = np.empty((5, n_rows))
     half_h = 0.5 * h
-    dw_cols = np.ascontiguousarray(dw.T)  # contiguous per-step slices
-    for k in range(steps):
-        w = dw_cols[k]
-        dz = 0.5 * (w * w) - half_h
-        fy, gy, ggy = log_coeffs(y, p)
-        y = y + fy * h + gy * w + ggy * dz
-        hit = y >= log_n
-        np.copyto(y, reset, where=hit)
-        counts += hit
+    # ufuncs with the output as third argument, cheaper to call than out=
+    exp, mul, add, sub, ge = np.exp, np.multiply, np.add, np.subtract, np.greater_equal
+
+    for k0 in range(0, steps, tile):
+        n = min(tile, steps - k0)
+        w, z, hits, new = w_tile[:n], z_tile[:n], hit_tile[:n], states[1:n + 1]
+        # every group reads the same increments
+        np.copyto(w.reshape(n, len(groups), width), dw[:, k0:k0 + n].T[:, None, :])
+        mul(w, w, z)
+        z *= 0.5
+        z -= half_h
+        for y, nxt, dw_k, dz_k, hit in zip(states, new, w, z, hits):
+            # log_coeffs: f = (-s2/2 e^y + (s2 N - beta)) e^y + c0,
+            # g = sigma (N - e^y), g g' = -s2 e^y (N - e^y)
+            exp(y, ex)
+            mul(a1, ex, fy)
+            add(fy, a2, fy)
+            mul(fy, ex, fy)
+            add(fy, c0, fy)
+            sub(big_n, ex, n_ex)
+            mul(sigma, n_ex, gy)
+            mul(neg_s2, ex, ggy)
+            mul(ggy, n_ex, ggy)
+            # y + f h + g dW + g g' dZeta, reset at or above log N
+            mul(fy, step, fy)
+            add(y, fy, nxt)
+            mul(gy, dw_k, gy)
+            add(nxt, gy, nxt)
+            mul(ggy, dz_k, ggy)
+            add(nxt, ggy, nxt)
+            ge(nxt, log_n, hit)
+            np.copyto(nxt, reset, where=hit)
+        counts += hits.sum(axis=0)
         if flags is not None:
-            flags[:, k] = hit
-        if snaps is not None and (k + 1) % record_stride == 0:
-            snaps[:, (k + 1) // record_stride] = y
-    return LcmBatch(y_snaps=snaps, y_final=y, trunc_counts=counts, flags=flags)
+            flags[:, k0:k0 + n] = hits.T
+        if snaps is not None:
+            # state k0 + first is the tile's first record, in row first - 1
+            first = record_stride - k0 % record_stride
+            recorded = new[first - 1::record_stride]
+            j = (k0 + first) // record_stride
+            snaps[:, j:j + len(recorded)] = recorded.T
+        states[0] = new[-1]
+    return LcmBatch(y_snaps=snaps, y_final=states[0].copy(), trunc_counts=counts,
+                    flags=flags)
 
 
 def lcm_simulate(inc, p, s):
@@ -168,11 +236,6 @@ class MilsteinBatch:
     i_final: np.ndarray
     violated: np.ndarray
     exploded: np.ndarray
-
-
-# Doubles in each of milstein_evolve's tile buffers (states, dW, dZeta): a
-# tile is this many divided by the width steps long, and at least one step.
-_TILE_DOUBLES = 1 << 16
 
 
 def milstein_evolve(i0, dw, h, p, record_stride=1):

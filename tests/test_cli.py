@@ -2,11 +2,16 @@
 
 Commands are exercised in-process through cli.main, which returns the exit
 code: 0 success, 2 bad config/usage, 3 output I/O failure, 4 parameters
-outside every supported regime.
+outside every supported regime. Any other exception escapes main, so the
+process exits 1 with a traceback; that one is checked in a subprocess.
 """
 
 import math
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +259,49 @@ class TestCliErrors:
         assert err.startswith("config error: t_final 1.0 is not a whole number")
         assert "Traceback" not in err
         assert not out.is_file() and not list(tmp_path.rglob("dynamics_*.csv"))
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("convergence", CONV_CFG.replace("levels = 2^-4 2^-3", "levels = 2^-4"),
+         "rate fit needs at least two"),
+        ("convergence", CONV_CFG.replace("levels = 2^-4 2^-3", "levels = 2^-4 -1"),
+         "convergence.levels: h must be positive"),
+        ("dynamics", DYN_EXT_CFG.replace("step_sizes = 2^-2 2^-1", "step_sizes = 0"),
+         "dynamics.step_sizes: h must be positive"),
+        ("dynamics", DYN_EXT_CFG.replace("t_final = 5", "t_final = 0.5"),
+         "too short to classify"),
+        ("truncation", TRUNC_CFG.replace("I0 = 10 50", "I0 = 10 150"),
+         "truncation.I0: I0 must lie in (0, N)"),
+    ])
+    def test_config_value_errors_are_config_errors(self, tmp_path, capsys, command,
+                                                   text, message):
+        # what a config can get wrong exits 2, without a traceback
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_internal_value_error_exits_1(self, tmp_path):
+        # a ValueError from inside the program is a fault, not a bad config:
+        # it must not be reported as "config error" with exit 2
+        path = write_cfg(tmp_path, TRUNC_CFG)
+        argv = ["truncation", "--config", path, "--out", str(tmp_path / "o")]
+        script = ("import sys\n"
+                  "import sislab.analysis\n"
+                  "from sislab.cli import main\n"
+                  "def fault(*args, **kwargs):\n"
+                  "    raise ValueError('injected fault')\n"
+                  "sislab.analysis.lcm_evolve = fault\n"
+                  f"sys.exit(main({argv!r}))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr
+        assert "ValueError: injected fault" in proc.stderr
+        assert "config error" not in proc.stderr
 
     def test_gap_regime_dynamics_is_precondition_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DYN_GAP_CFG)

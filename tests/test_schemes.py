@@ -8,6 +8,7 @@ steppers were written.
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,6 +299,120 @@ class TestLcmEvolveReference:
                        record_flags=True)
         np.testing.assert_array_equal(np.hstack([a.y_snaps, b.y_snaps[:, 1:]]), ref)
         np.testing.assert_array_equal(np.hstack([a.flags, b.flags]), flags)
+
+    # lcm_evolve steps in tiles and records once per tile; as in
+    # TestMilsteinEvolveTiles, a small budget puts tile edges inside these runs
+    BUDGET = 1 << 10  # doubles per tile in these tests: tiles of 1024, 146, 8
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("width", [1, 7, 128])
+    @pytest.mark.parametrize("kind", ["one", "tile-1", "tile", "tile+1", "ragged"])
+    def test_tile_boundaries_match_reference(self, monkeypatch, name, width, kind):
+        monkeypatch.setattr(schemes, "_TILE_DOUBLES", self.BUDGET)
+        tile = self.BUDGET // width
+        steps = {"one": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
+                 "ragged": 3 * (tile - 1)}[kind]
+        p, s, y0, dw = self.case(name, width, steps)
+        ref, flags = lcm_reference(y0, dw, p, s)
+        for stride in (None, 1, 3, 7):
+            if stride and steps % stride:
+                continue
+            out = lcm_evolve(y0, dw, s.h, p, s, record_stride=stride,
+                             record_flags=True)
+            np.testing.assert_array_equal(out.y_final, ref[:, -1])
+            np.testing.assert_array_equal(out.flags, flags)
+            np.testing.assert_array_equal(out.trunc_counts, flags.sum(axis=1))
+            if stride is None:
+                assert out.y_snaps is None
+            else:
+                np.testing.assert_array_equal(out.y_snaps, ref[:, ::stride])
+        plain = lcm_evolve(y0, dw, s.h, p, s)
+        assert plain.flags is None
+        np.testing.assert_array_equal(plain.y_final, ref[:, -1])
+        np.testing.assert_array_equal(plain.trunc_counts, flags.sum(axis=1))
+        if name == "truncating" and steps > 1:
+            assert flags.any()
+
+    @pytest.mark.parametrize("k", [5, 146, 200])  # 146 ends a tile of width 7
+    def test_split_and_resume_at_tile_edges(self, monkeypatch, k):
+        monkeypatch.setattr(schemes, "_TILE_DOUBLES", self.BUDGET)
+        p, s, y0, dw = self.case("truncating", 7, 3 * 147)
+        ref, flags = lcm_reference(y0, dw, p, s)
+        a = lcm_evolve(y0, dw[:, :k], s.h, p, s, record_stride=1, record_flags=True)
+        b = lcm_evolve(a.y_final, dw[:, k:], s.h, p, s, record_stride=1,
+                       record_flags=True)
+        np.testing.assert_array_equal(np.hstack([a.y_snaps, b.y_snaps[:, 1:]]), ref)
+        np.testing.assert_array_equal(np.hstack([a.flags, b.flags]), flags)
+        np.testing.assert_array_equal(a.trunc_counts + b.trunc_counts,
+                                      flags.sum(axis=1))
+
+
+class TestLcmEvolveGroups:
+    """With a sequence of G ModelParams, row g W + r of lcm_evolve uses group
+    g and row r of the shared increments. Each group's rows must equal, bit
+    for bit, a one-ModelParams call on the same increments."""
+
+    S = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
+    # sigma = 0.01 truncates about every other step at h = 1/4; the
+    # strong-noise extinction set from I <= 10 never reaches log N
+    TRUNCATING = ModelParams(N=100, beta=0.42, sigma=0.01, mu_plus_gamma=10.0, I0=10.0)
+    INSIDE = P_EXT
+
+    @classmethod
+    def case(cls, n_groups, width, steps):
+        # groups alternate between the two sets, with N and I0 varied so
+        # that log N and the reset differ from group to group
+        groups = []
+        for g in range(n_groups):
+            scale = (1.0, 0.6, 1.5)[g // 2 % 3]
+            base = cls.TRUNCATING if g % 2 == 0 else cls.INSIDE
+            groups.append(replace(base, N=base.N * scale, I0=(10.0 - 3.0 * (g // 2 % 3))))
+        rng = np.random.default_rng(1000 * n_groups + width)
+        dw = rng.normal(0.0, math.sqrt(cls.S.h), size=(width, steps))
+        y0 = np.concatenate([math.log(q.I0) + rng.uniform(-1.0, 0.0, size=width)
+                             for q in groups])
+        return groups, y0, dw
+
+    @pytest.mark.parametrize("n_groups", [1, 3, 12])
+    @pytest.mark.parametrize("width", [1, 7, 128])
+    def test_groups_equal_one_set_calls(self, monkeypatch, n_groups, width):
+        # a small tile budget, so that grouped and one-set calls cut their
+        # tiles at different steps
+        monkeypatch.setattr(schemes, "_TILE_DOUBLES", 1 << 10)
+        groups, y0, dw = self.case(n_groups, width, 60)
+        out = lcm_evolve(y0, dw, self.S.h, groups, self.S, record_stride=3,
+                         record_flags=True)
+        assert out.y_final.shape == out.trunc_counts.shape == (n_groups * width,)
+        for g, q in enumerate(groups):
+            rows = slice(g * width, (g + 1) * width)
+            one = lcm_evolve(y0[rows], dw, self.S.h, q, self.S, record_stride=3,
+                             record_flags=True)
+            np.testing.assert_array_equal(out.y_final[rows], one.y_final)
+            np.testing.assert_array_equal(out.trunc_counts[rows], one.trunc_counts)
+            np.testing.assert_array_equal(out.flags[rows], one.flags)
+            np.testing.assert_array_equal(out.y_snaps[rows], one.y_snaps)
+            assert (out.y_snaps[rows] < math.log(q.N)).all()
+            if q.sigma == self.INSIDE.sigma:
+                assert not one.flags.any()
+            else:
+                assert one.flags.any()
+
+    @pytest.mark.parametrize("k", [1, 17, 59])
+    def test_split_and_resume_equals_one_call(self, monkeypatch, k):
+        monkeypatch.setattr(schemes, "_TILE_DOUBLES", 1 << 10)
+        groups, y0, dw = self.case(12, 7, 60)
+        whole = lcm_evolve(y0, dw, self.S.h, groups, self.S, record_stride=1,
+                           record_flags=True)
+        a = lcm_evolve(y0, dw[:, :k], self.S.h, groups, self.S, record_stride=1,
+                       record_flags=True)
+        b = lcm_evolve(a.y_final, dw[:, k:], self.S.h, groups, self.S,
+                       record_stride=1, record_flags=True)
+        np.testing.assert_array_equal(np.hstack([a.y_snaps, b.y_snaps[:, 1:]]),
+                                      whole.y_snaps)
+        np.testing.assert_array_equal(np.hstack([a.flags, b.flags]), whole.flags)
+        np.testing.assert_array_equal(a.trunc_counts + b.trunc_counts,
+                                      whole.trunc_counts)
+        assert whole.trunc_counts.any()
 
 
 class TestSplitRuns:
@@ -601,54 +716,63 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def scheme_cases(draw, max_width=1, max_steps=1):
-    """A scheme and model from the range the domain guarantee covers, start
-    states in [-50, log N), and increments z sqrt(h) with |z| <= 1e3."""
+def scheme_cases(draw, max_width=1, max_steps=1, max_groups=1):
+    """A scheme and 1 .. max_groups models, each with its own N, from the
+    range the domain guarantee covers; start states in [-50, log N) of their
+    row's group, and increments z sqrt(h) with |z| <= 1e3 shared by the
+    groups. Returns (models, scheme, y0, dw): row g W + r of y0 is group g's."""
     h = 2.0 ** draw(st.integers(-40, 10))
     s = SchemeParams(h=h, alpha=draw(st.floats(0.0, 1.0, exclude_min=True)),
                      theta=draw(st.floats(1.5, 4.0)))
-    n = draw(st.floats(1.01, 1e6))
-    p = ModelParams(N=n, beta=0.42, sigma=0.9, mu_plus_gamma=10.0, I0=0.5 * n)
+    ns = draw(st.lists(st.floats(1.01, 1e6), min_size=1, max_size=max_groups))
+    ps = [ModelParams(N=n, beta=0.42, sigma=0.9, mu_plus_gamma=10.0, I0=0.5 * n)
+          for n in ns]
     width = draw(st.integers(1, max_width))
     steps = draw(st.integers(1, max_steps))
-    log_n = math.log(n)
-    y0 = np.array(draw(st.lists(st.floats(-50.0, log_n, exclude_max=True),
-                                min_size=width, max_size=width)))
+    y0 = np.array([y for n in ns
+                   for y in draw(st.lists(st.floats(-50.0, math.log(n), exclude_max=True),
+                                          min_size=width, max_size=width))])
     z = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=width * steps,
                                max_size=width * steps)))
-    return p, s, y0, z.reshape(width, steps) * math.sqrt(h)
+    return ps, s, y0, z.reshape(width, steps) * math.sqrt(h)
+
+
+def row_log_n(ps, width):
+    """log N of every row of a grouped batch."""
+    return np.repeat([math.log(p.N) for p in ps], width)
 
 
 class TestDomainProperty:
-    """Y stays finite and strictly below log N for any h > 0, alpha in (0, 1]
-    and theta >= 3/2, and split runs equal one call, on drawn inputs."""
+    """Y stays finite and strictly below its group's log N for any h > 0,
+    alpha in (0, 1] and theta >= 3/2, and split runs equal one call, on drawn
+    inputs."""
 
     @PROPERTY
-    @given(scheme_cases())
+    @given(scheme_cases(max_groups=4))
     def test_one_step_stays_below_log_n(self, case):
-        p, s, y0, dw = case
-        y1 = lcm_evolve(y0, dw, s.h, p, s).y_final
+        ps, s, y0, dw = case
+        y1 = lcm_evolve(y0, dw, s.h, ps, s).y_final
         assert np.isfinite(y1).all()
-        assert (y1 < math.log(p.N)).all()
+        assert (y1 < row_log_n(ps, dw.shape[0])).all()
 
     @PROPERTY
-    @given(scheme_cases(max_width=4, max_steps=12), st.integers(1, 11))
+    @given(scheme_cases(max_width=4, max_steps=12, max_groups=3), st.integers(1, 11))
     def test_lcm_split_equals_one_call(self, case, k):
-        p, s, y0, dw = case
+        ps, s, y0, dw = case
         k = min(k, dw.shape[1])
-        whole = lcm_evolve(y0, dw, s.h, p, s)
-        a = lcm_evolve(y0, dw[:, :k], s.h, p, s)
-        b = lcm_evolve(a.y_final, dw[:, k:], s.h, p, s)
+        whole = lcm_evolve(y0, dw, s.h, ps, s)
+        a = lcm_evolve(y0, dw[:, :k], s.h, ps, s)
+        b = lcm_evolve(a.y_final, dw[:, k:], s.h, ps, s)
         np.testing.assert_array_equal(b.y_final, whole.y_final)
         np.testing.assert_array_equal(a.trunc_counts + b.trunc_counts,
                                       whole.trunc_counts)
         assert np.isfinite(whole.y_final).all()
-        assert (whole.y_final < math.log(p.N)).all()
+        assert (whole.y_final < row_log_n(ps, dw.shape[0])).all()
 
     @PROPERTY
     @given(scheme_cases(max_width=4, max_steps=12), st.integers(1, 11))
     def test_milstein_split_equals_one_call(self, case, k):
-        p, s, y0, dw = case
+        (p,), s, y0, dw = case
         k = min(k, dw.shape[1])
         i0 = np.exp(y0)
         whole = milstein_evolve(i0, dw, s.h, p, record_stride=None)
