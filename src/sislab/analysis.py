@@ -6,10 +6,10 @@ by absolute path index, partial results land in preallocated per-path arrays,
 and reductions run once over those arrays in index order. Each path's stream
 is drawn once, forward in fixed time blocks, and the kernels carry their
 per-row states from block to block, so memory per chunk is bounded by chunk
-times block whatever the horizon. Chunk size and time blocks change memory
-use and wall time, never the numbers. Where several parameter sets step on
-the same increments (truncation_table), they run as parameter groups of one
-kernel call.
+times block whatever the horizon. The chunk size (_CHUNK paths) and the time
+blocks are module constants: they change memory use and wall time, never the
+numbers. Where several parameter sets step on the same increments
+(truncation_table), they run as parameter groups of one kernel call.
 
 Argument checks that a config can trip raise ConfigError, a ValueError the
 command line reports as a config error (exit 2).
@@ -30,11 +30,10 @@ from .model import (
     reproduction_numbers,
 )
 from .paths import PathStreams, generate
-from .schemes import SchemeParams, Trajectory, lcm_evolve, milstein_evolve
+from .schemes import _STEP_RTOL, SchemeParams, lcm_evolve, milstein_evolve
 
 __all__ = [
     "ConfigError",
-    "DynamicsThresholds",
     "DynamicsVerdict",
     "ErrorTable",
     "RateFit",
@@ -96,6 +95,7 @@ def fit_rate(table):
     return RateFit(q=q, residual=float(np.dot(resid, resid)))
 
 
+_CHUNK = 1024  # paths per chunk, whose streams are drawn and stepped together
 # Steps per time block (a power of two, so it holds whole coarse steps of
 # every dyadic level up to its own length).
 _BLOCK = 4096
@@ -111,13 +111,12 @@ _TRAJECTORY_GROUP = 25
 
 def _whole_steps(t_final, h, what):
     steps = round(t_final / h)
-    if steps < 1 or not math.isclose(steps * h, t_final, rel_tol=1e-9):
+    if steps < 1 or not math.isclose(steps * h, t_final, rel_tol=_STEP_RTOL):
         raise ConfigError(f"{what} {t_final!r} is not a whole number of steps of {h!r}")
     return steps
 
 
-def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
-                 chunk=1024):
+def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final):
     """Coupled-path strong errors of the log-space scheme at several step sizes.
 
     Every level reuses the same fine Brownian increments as the reference run
@@ -131,7 +130,7 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
     ratios = []
     for L in levels:
         r = round(L / h_ref)
-        if (r < 1 or not math.isclose(r * h_ref, L, rel_tol=1e-9)
+        if (r < 1 or not math.isclose(r * h_ref, L, rel_tol=_STEP_RTOL)
                 or r & (r - 1) or fine_steps % r):
             raise ConfigError(
                 f"level {L!r} must be a power-of-two multiple of the "
@@ -142,19 +141,19 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
     schemes = [replace(scheme_ref, h=L) for L in levels]
     block = max([_BLOCK, *ratios])  # whole coarse steps of every level
     gap2 = np.empty((len(levels), n_paths))
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
+    for lo in range(0, n_paths, _CHUNK):
+        hi = min(lo + _CHUNK, n_paths)
         streams = PathStreams(base_seed, lo, hi)
         y_ref = y0
         y_lev = [y0] * len(levels)
         for start in range(0, fine_steps, block):
             dwf = streams.increments(min(block, fine_steps - start),
                                      t_final / fine_steps)
-            y_ref = lcm_evolve(y_ref, dwf, h_ref, params, scheme_ref).y_final
+            y_ref = lcm_evolve(y_ref, dwf, params, scheme_ref).y_final
             for li, (s, r) in enumerate(zip(schemes, ratios)):
                 # contiguous cell sums: any other summation axis changes bits
                 dwl = dwf if r == 1 else dwf.reshape(hi - lo, -1, r).sum(axis=2)
-                y_lev[li] = lcm_evolve(y_lev[li], dwl, s.h, params, s).y_final
+                y_lev[li] = lcm_evolve(y_lev[li], dwl, params, s).y_final
             dwf = dwl = None  # release this block before drawing the next
         iref = np.exp(y_ref)
         for li, y in enumerate(y_lev):
@@ -165,14 +164,13 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final,
                       h_reference=h_ref)
 
 
-def milstein_violation_fraction(params, h, t_final, n_paths, base_seed,
-                                chunk=1024):
+def milstein_violation_fraction(params, h, t_final, n_paths, base_seed):
     """Fraction of direct-Milstein paths that ever produce a forbidden state
     (negative, above N, or non-finite) before t_final."""
     steps = _whole_steps(t_final, float(h), "t_final")
     violated = np.zeros(n_paths, dtype=bool)
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
+    for lo in range(0, n_paths, _CHUNK):
+        hi = min(lo + _CHUNK, n_paths)
         streams = PathStreams(base_seed, lo, hi)
         state = params.I0
         for start in range(0, steps, _BLOCK):
@@ -194,7 +192,7 @@ class TruncationTable:
 
 
 def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
-                     chunk=1024, alpha=0.1, theta=2.0, labels=None):
+                     alpha=0.1, theta=2.0, labels=None):
     """Percentage of steps the log-space scheme truncates, per parameter set,
     initial value, and step size.
 
@@ -217,8 +215,8 @@ def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
     y0 = np.array([math.log(q.I0) for q in groups])
     longest = max(steps, default=0)
     counts = np.zeros((len(hs), len(groups)), dtype=np.int64)
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
+    for lo in range(0, n_paths, _CHUNK):
+        hi = min(lo + _CHUNK, n_paths)
         streams = PathStreams(base_seed, lo, hi)
         states = [np.repeat(y0, hi - lo) for _ in hs]  # group-major rows
         for start in range(0, longest, _TRUNCATION_BLOCK):
@@ -229,7 +227,7 @@ def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
                 if n <= start:
                     continue
                 dw = z[:n - start] * math.sqrt(horizon / n)
-                out = lcm_evolve(states[k], dw.T, s.h, groups, s)
+                out = lcm_evolve(states[k], dw.T, groups, s)
                 states[k] = out.y_final
                 counts[k] += out.trunc_counts.reshape(len(groups), hi - lo).sum(axis=1)
     percent = 100.0 * counts.T / (n_paths * np.array(steps, dtype=np.int64))
@@ -247,20 +245,16 @@ def lcm_trajectories(params, scheme, t_final, n_paths, base_seed):
     for bit, lcm_simulate on that path's own draw.
     """
     steps = _whole_steps(t_final, scheme.h, "t_final")
-    h = t_final / steps  # the grid's own step, as lcm_simulate checks it
+    h = t_final / steps  # the grid's own step, as lcm_simulate times it
     y0 = math.log(params.I0)
     for lo in range(0, n_paths, _TRAJECTORY_GROUP):
         group = range(lo, min(lo + _TRAJECTORY_GROUP, n_paths))
         dw = np.stack([generate(base_seed, j, t_final, steps).increments
                        for j in group])
-        out = lcm_evolve(y0, dw, h, params, scheme, record_stride=1,
+        out = lcm_evolve(y0, dw, params, scheme, record_stride=1,
                          record_flags=True)
         for row, j in enumerate(group):
-            y = out.y_snaps[row]
-            yield j, Trajectory(
-                times=np.arange(steps + 1) * h, values=np.exp(y), log_values=y,
-                truncated=np.concatenate([[False], out.flags[row]]),
-                truncation_count=int(out.trunc_counts[row]))
+            yield j, out.trajectory(row, h)
 
 
 def count_crossings(values, level):
@@ -272,18 +266,12 @@ def count_crossings(values, level):
     return int(np.sum(d[:-1] * d[1:] < 0.0))
 
 
-@dataclass(frozen=True)
-class DynamicsThresholds:
-    """Decision constants for classify_dynamics.
-
-    margin is the fraction of the theoretical decay rate the observed
-    Lyapunov estimate may fall short by and still count as extinction.
-    """
-
-    margin: float = 0.5
-    extinction_floor: float = 1e-8
-    min_crossings: int = 3
-    min_horizon: float = 1.0
+# classify_dynamics' decision constants; an extinct run's Lyapunov estimate
+# may fall short of the theoretical decay rate by the fraction _MARGIN
+_MARGIN = 0.5
+_EXTINCTION_FLOOR = 1e-8
+_MIN_CROSSINGS = 3
+_MIN_HORIZON = 1.0
 
 
 @dataclass(frozen=True)
@@ -294,7 +282,7 @@ class DynamicsVerdict:
     terminal_value: float
 
 
-def classify_dynamics(traj, p, thresholds=None):
+def classify_dynamics(traj, p):
     """Judge one trajectory against the long-run theorem its parameters fall
     under.
 
@@ -305,13 +293,12 @@ def classify_dynamics(traj, p, thresholds=None):
     covered by neither theorem, and runs failing their regime's test, come
     back Inconclusive.
     """
-    th = thresholds if thresholds is not None else DynamicsThresholds()
     times = np.asarray(traj.times, dtype=np.float64)
     t_span = float(times[-1] - times[0])
-    if t_span < th.min_horizon:
+    if t_span < _MIN_HORIZON:
         raise ConfigError(
             f"horizon {t_span:g} is too short to classify dynamics "
-            f"(need at least {th.min_horizon:g})")
+            f"(need at least {_MIN_HORIZON:g})")
     terminal = float(traj.values[-1])
     if traj.log_values is not None:
         log_term = float(traj.log_values[-1])
@@ -327,13 +314,13 @@ def classify_dynamics(traj, p, thresholds=None):
     crossings = 0
     if r0s < 1.0 and case is not ExtinctionCase.NEITHER:
         decay = f_max_sigma(p)
-        if lyap <= (1.0 - th.margin) * decay and terminal < th.extinction_floor:
+        if lyap <= (1.0 - _MARGIN) * decay and terminal < _EXTINCTION_FLOOR:
             kind = "Extinct"
     elif r0s > 1.0:
         lam = persistence_lambda(p)
         tail = times >= times[0] + 0.5 * t_span
         crossings = count_crossings(np.asarray(traj.values)[tail], lam)
-        if crossings >= th.min_crossings:
+        if crossings >= _MIN_CROSSINGS:
             kind = "Persistent"
     return DynamicsVerdict(kind=kind, lyapunov_estimate=lyap,
                            lambda_crossings=crossings, terminal_value=terminal)

@@ -12,11 +12,11 @@ bookkeeping here records exactly where that happens instead of hiding it.
 Each scheme has one batch kernel, lcm_evolve and milstein_evolve. The
 single-path functions lcm_simulate and milstein_direct_simulate are 1-row
 views of it, so a path run alone is bit-identical to the same path run as a
-row of a batch. Both kernels take dW only and rebuild dZeta = (dW^2 - h) / 2
-from it, and step in place: every operation of a step writes into a
-preallocated row, and the per-step bookkeeping runs once per tile of steps.
-lcm_evolve also takes one ModelParams per group of rows, so many parameter
-sets step on shared increments in one call.
+row of a batch. Both kernels step in place (every operation of a step writes
+into a preallocated row) on one tile walker, which rebuilds dZeta =
+(dW^2 - h) / 2 from dW, records and carries states once per tile of steps.
+lcm_evolve steps at the scheme's h and takes one ModelParams per group of
+rows, so many parameter sets step on shared increments in one call.
 """
 
 from __future__ import annotations
@@ -94,15 +94,68 @@ class LcmBatch:
     trunc_counts: np.ndarray
     flags: np.ndarray | None
 
+    def trajectory(self, row, h):
+        """Row `row` of a run with record_stride=1 and record_flags=True, as a
+        Trajectory on a grid of step h."""
+        y = self.y_snaps[row]
+        return Trajectory(times=np.arange(len(y)) * h, values=np.exp(y),
+                          log_values=y,
+                          truncated=np.concatenate([[False], self.flags[row]]),
+                          truncation_count=int(self.trunc_counts[row]))
 
-# Doubles in each of a kernel's tile buffers (states, dW, dZeta): a tile is
-# this many divided by the batch's row count steps long, and at least one step.
-_TILE_DOUBLES = 1 << 16
+
+_TILE_DOUBLES = 1 << 16  # doubles in each of a kernel's tile buffers
+_STEP_RTOL = 1e-9  # relative gap within which a grid step counts as the step h
 
 
-def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
+def _tile_steps(n_rows, steps):
+    """Steps per tile: _TILE_DOUBLES over the row count, at least one."""
+    return max(1, min(steps, _TILE_DOUBLES // max(n_rows, 1)))
+
+
+def _walk_tiles(start, dw, h, groups, record_stride, step_tile):
+    """Step start's rows (row g W + r reads row r of dw) tile by tile.
+
+    step_tile(k0, states, w, z) steps one tile: w and z hold its dW and dZeta
+    = (dW^2 - h) / 2, one row per step, and it writes the state after row j's
+    step into states[j + 1] from states[0], the state before step k0. Returns
+    every record_stride-th state from the initial one (None without a stride)
+    and the final states.
+    """
+    width, steps = dw.shape
+    n_rows = len(start)
+    snaps = None
+    if record_stride is not None:
+        if steps % record_stride:
+            raise ValueError("record_stride must divide the step count")
+        snaps = np.empty((n_rows, steps // record_stride + 1))
+        snaps[:, 0] = start
+    tile = _tile_steps(n_rows, steps)
+    states = np.empty((tile + 1, n_rows))
+    states[0] = start
+    w_tile, z_tile = np.empty((2, tile, n_rows))
+    for k0 in range(0, steps, tile):
+        n = min(tile, steps - k0)
+        w, z, new = w_tile[:n], z_tile[:n], states[1:n + 1]
+        # every group reads the same increments
+        np.copyto(w.reshape(n, groups, width), dw[:, k0:k0 + n].T[:, None, :])
+        np.multiply(w, w, z)
+        z *= 0.5
+        z -= 0.5 * h
+        step_tile(k0, states[:n + 1], w, z)
+        if snaps is not None:
+            # state k0 + first is the tile's first record, in row first - 1
+            first = record_stride - k0 % record_stride
+            recorded = new[first - 1::record_stride]
+            j = (k0 + first) // record_stride
+            snaps[:, j:j + len(recorded)] = recorded.T
+        states[0] = new[-1]
+    return snaps, states[0].copy()
+
+
+def lcm_evolve(y0, dw, p, s, record_stride=None, record_flags=False):
     """Evolve a batch of log-space paths from y0, one start state per row or
-    a scalar shared by all rows.
+    a scalar shared by all rows, at the scheme's step s.h.
 
     p is one ModelParams or a sequence of G of them. dw has one row per
     increment path and one column per step, and every group runs on all of
@@ -117,11 +170,9 @@ def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
 
     Each step is np.exp plus log_coeffs' operations, in its order and
     grouping, and the Milstein update ((y + f h) + g dW) + g g' dZeta, each a
-    ufunc call writing into a preallocated row; dZeta, the dW transpose and
-    the truncation counts are formed once per tile of steps.
+    ufunc call writing into a preallocated row; the truncation counts are
+    formed once per tile of steps.
     """
-    if h != s.h:
-        raise ValueError(f"step size {h} disagrees with scheme step {s.h}")
     dw = np.asarray(dw, dtype=np.float64)
     width, steps = dw.shape
     groups = [p] if isinstance(p, ModelParams) else list(p)
@@ -131,12 +182,6 @@ def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
         raise ValueError("start states and increments must be finite")
     counts = np.zeros(n_rows, dtype=np.int64)
     flags = np.zeros((n_rows, steps), dtype=bool) if record_flags else None
-    snaps = None
-    if record_stride is not None:
-        if steps % record_stride:
-            raise ValueError("record_stride must divide the step count")
-        snaps = np.empty((n_rows, steps // record_stride + 1))
-        snaps[:, 0] = start
 
     table = []
     for q in groups:
@@ -150,31 +195,19 @@ def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
             # log_coeffs' constants, formed as it forms them
             -0.5 * s2, s2 * q.N - q.beta,
             q.beta * q.N - q.mu_plus_gamma - 0.5 * s2 * q.N * q.N,
-            q.N, q.sigma, -s2, h))
+            q.N, q.sigma, -s2, s.h))
     # each constant is a full row, as a Python-float or broadcast operand
     # costs more per call
     log_n, reset, a1, a2, c0, big_n, sigma, neg_s2, step = np.repeat(
         np.array(table, dtype=np.float64).reshape(-1, 9).T, width, axis=1)
-
-    tile = max(1, min(steps, _TILE_DOUBLES // max(n_rows, 1)))
-    states = np.empty((tile + 1, n_rows))  # row j + 1 is the state after row j's step
-    states[0] = start
-    w_tile, z_tile = np.empty((2, tile, n_rows))
-    hit_tile = np.empty((tile, n_rows), dtype=bool)
     ex, fy, gy, ggy, n_ex = np.empty((5, n_rows))
-    half_h = 0.5 * h
+    hit_tile = np.empty((_tile_steps(n_rows, steps), n_rows), dtype=bool)
     # ufuncs with the output as third argument, cheaper to call than out=
     exp, mul, add, sub, ge = np.exp, np.multiply, np.add, np.subtract, np.greater_equal
 
-    for k0 in range(0, steps, tile):
-        n = min(tile, steps - k0)
-        w, z, hits, new = w_tile[:n], z_tile[:n], hit_tile[:n], states[1:n + 1]
-        # every group reads the same increments
-        np.copyto(w.reshape(n, len(groups), width), dw[:, k0:k0 + n].T[:, None, :])
-        mul(w, w, z)
-        z *= 0.5
-        z -= half_h
-        for y, nxt, dw_k, dz_k, hit in zip(states, new, w, z, hits):
+    def step_tile(k0, states, w, z):
+        hits = hit_tile[:len(w)]
+        for y, nxt, dw_k, dz_k, hit in zip(states, states[1:], w, z, hits):
             # log_coeffs: f = (-s2/2 e^y + (s2 N - beta)) e^y + c0,
             # g = sigma (N - e^y), g g' = -s2 e^y (N - e^y)
             exp(y, ex)
@@ -195,18 +228,12 @@ def lcm_evolve(y0, dw, h, p, s, record_stride=None, record_flags=False):
             add(nxt, ggy, nxt)
             ge(nxt, log_n, hit)
             np.copyto(nxt, reset, where=hit)
-        counts += hits.sum(axis=0)
+        counts[...] += hits.sum(axis=0)
         if flags is not None:
-            flags[:, k0:k0 + n] = hits.T
-        if snaps is not None:
-            # state k0 + first is the tile's first record, in row first - 1
-            first = record_stride - k0 % record_stride
-            recorded = new[first - 1::record_stride]
-            j = (k0 + first) // record_stride
-            snaps[:, j:j + len(recorded)] = recorded.T
-        states[0] = new[-1]
-    return LcmBatch(y_snaps=snaps, y_final=states[0].copy(), trunc_counts=counts,
-                    flags=flags)
+            flags[:, k0:k0 + len(w)] = hits.T
+
+    snaps, final = _walk_tiles(start, dw, s.h, len(groups), record_stride, step_tile)
+    return LcmBatch(y_snaps=snaps, y_final=final, trunc_counts=counts, flags=flags)
 
 
 def lcm_simulate(inc, p, s):
@@ -216,16 +243,10 @@ def lcm_simulate(inc, p, s):
     """
     if isinstance(inc, BrownianGrid):
         inc = coarsen(inc, 0)
-    if inc.h != s.h:
+    if not math.isclose(inc.h, s.h, rel_tol=_STEP_RTOL):
         raise ValueError(f"increment step {inc.h} disagrees with scheme step {s.h}")
-    out = lcm_evolve(math.log(p.I0), inc.dW[None, :], s.h, p, s,
-                     record_stride=1, record_flags=True)
-    y = out.y_snaps[0]
-    truncated = np.concatenate([[False], out.flags[0]])
-    times = np.arange(len(inc) + 1) * inc.h
-    return Trajectory(times=times, values=np.exp(y), log_values=y,
-                      truncated=truncated,
-                      truncation_count=int(out.trunc_counts[0]))
+    return lcm_evolve(math.log(p.I0), inc.dW[None, :], p, s, record_stride=1,
+                      record_flags=True).trajectory(0, inc.h)
 
 
 @dataclass
@@ -258,67 +279,44 @@ def milstein_evolve(i0, dw, h, p, record_stride=1):
     sum, difference or product of a non-finite operand is finite.
     """
     dw = np.asarray(dw, dtype=np.float64)
-    n_paths, steps = dw.shape
-    start = np.full(n_paths, i0, dtype=np.float64)
+    n_paths = len(dw)
     violated = np.zeros(n_paths, dtype=bool)
-    snaps = None
-    if record_stride is not None:
-        if steps % record_stride:
-            raise ValueError("record_stride must divide the step count")
-        snaps = np.empty((n_paths, steps // record_stride + 1))
-        snaps[:, 0] = start
-
-    tile = max(1, min(steps, _TILE_DOUBLES // max(n_paths, 1)))
-    states = np.empty((tile + 1, n_paths))  # row j + 1 is the state after row j's step
-    states[0] = start
-    w_tile, z_tile = np.empty((2, tile, n_paths))
     ai, bi, tmp = np.empty((3, n_paths))
     # c = beta N - (mu + gamma), formed as drift_original forms it; each
     # constant is a full row, as a Python-float operand costs more per call
     beta, c, sigma, big_n, two, step = (
         np.full(n_paths, v, dtype=np.float64)
         for v in (p.beta, p.beta * p.N - p.mu_plus_gamma, p.sigma, p.N, 2.0, h))
-    half_h = 0.5 * h
     # ufuncs with the output as third argument, cheaper to call than out=
     mul, sub, add = np.multiply, np.subtract, np.add
 
+    def step_tile(k0, states, w, z):
+        new = states[1:]
+        for I, nxt, dw_k, dz_k in zip(states, new, w, z):
+            # a = I (c - beta I), b = sigma I (N - I), b' = sigma (N - 2 I);
+            # I + a h + b dW + b b' dZeta
+            mul(beta, I, ai)
+            sub(c, ai, ai)
+            mul(I, ai, ai)
+            mul(sigma, I, bi)
+            sub(big_n, I, tmp)
+            mul(bi, tmp, bi)
+            mul(two, I, tmp)
+            sub(big_n, tmp, tmp)
+            mul(sigma, tmp, tmp)
+            mul(ai, step, ai)
+            add(I, ai, nxt)
+            mul(bi, dw_k, ai)
+            add(nxt, ai, nxt)
+            mul(bi, tmp, bi)
+            mul(bi, dz_k, bi)
+            add(nxt, bi, nxt)
+        violated[...] |= ~((new >= 0.0) & (new <= p.N)).all(axis=0)  # NaN flags too
+        np.copyto(new, np.nan, where=~np.isfinite(new))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, steps, tile):
-            n = min(tile, steps - k0)
-            w, z, new = w_tile[:n], z_tile[:n], states[1:n + 1]
-            np.copyto(w, dw[:, k0:k0 + n].T)
-            mul(w, w, out=z)
-            z *= 0.5
-            z -= half_h
-            for I, nxt, dw_k, dz_k in zip(states, new, w, z):
-                # a = I (c - beta I), b = sigma I (N - I), b' = sigma (N - 2 I);
-                # I + a h + b dW + b b' dZeta
-                mul(beta, I, ai)
-                sub(c, ai, ai)
-                mul(I, ai, ai)
-                mul(sigma, I, bi)
-                sub(big_n, I, tmp)
-                mul(bi, tmp, bi)
-                mul(two, I, tmp)
-                sub(big_n, tmp, tmp)
-                mul(sigma, tmp, tmp)
-                mul(ai, step, ai)
-                add(I, ai, nxt)
-                mul(bi, dw_k, ai)
-                add(nxt, ai, nxt)
-                mul(bi, tmp, bi)
-                mul(bi, dz_k, bi)
-                add(nxt, bi, nxt)
-            violated |= ~((new >= 0.0) & (new <= p.N)).all(axis=0)  # NaN flags too
-            np.copyto(new, np.nan, where=~np.isfinite(new))
-            if snaps is not None:
-                # state k0 + first is the tile's first record, in row first - 1
-                first = record_stride - k0 % record_stride
-                rows = new[first - 1::record_stride]
-                j = (k0 + first) // record_stride
-                snaps[:, j:j + len(rows)] = rows.T
-            states[0] = new[-1]
-    i_final = states[0].copy()
+        snaps, i_final = _walk_tiles(np.full(n_paths, i0, dtype=np.float64), dw, h,
+                                     1, record_stride, step_tile)
     return MilsteinBatch(i_snaps=snaps, i_final=i_final, violated=violated,
                          exploded=~np.isfinite(i_final))
 

@@ -12,11 +12,11 @@ import math
 import numpy as np
 import pytest
 
+from sislab import analysis
 from sislab.model import ModelParams
 from sislab.paths import coarsen, generate
 from sislab.schemes import SchemeParams, Trajectory, lcm_simulate
 from sislab.analysis import (
-    DynamicsThresholds,
     ErrorTable,
     RateFit,
     classify_dynamics,
@@ -92,11 +92,12 @@ class TestStrongError:
                              n_paths=8, base_seed=1, t_final=1.0)
         assert table.errors[0] == 0.0
 
-    def test_deterministic_and_chunk_invariant(self):
+    def test_deterministic_and_chunk_invariant(self, monkeypatch):
         kw = dict(levels=[2.0**-5, 2.0**-4], n_paths=30, base_seed=9, t_final=1.0)
         a = strong_error(P_CONV1, self.S_REF, **kw)
         b = strong_error(P_CONV1, self.S_REF, **kw)
-        c = strong_error(P_CONV1, self.S_REF, chunk=7, **kw)
+        monkeypatch.setattr(analysis, "_CHUNK", 7)
+        c = strong_error(P_CONV1, self.S_REF, **kw)
         assert a.errors == b.errors == c.errors
         assert a.step_sizes == (2.0**-5, 2.0**-4)
         assert a.h_reference == 2.0**-8
@@ -173,7 +174,7 @@ class TestClassifyDynamics:
     def test_short_horizon_rejected(self):
         traj = Trajectory(times=np.array([0.0, 0.25]), values=np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
-            classify_dynamics(traj, P_PERS, DynamicsThresholds(min_horizon=1.0))
+            classify_dynamics(traj, P_PERS)
 
     def test_gap_regime_is_inconclusive(self):
         # neither theorem applies: no extinction case and R0^S < 1
@@ -199,21 +200,23 @@ class TestTruncationTable:
                                n_paths=300, horizon=20.0, base_seed=3)
         assert tbl.percent[0, 0, 0] == pytest.approx(50.0, abs=3.0)
 
-    def test_deterministic_and_chunk_invariant(self):
+    def test_deterministic_and_chunk_invariant(self, monkeypatch):
         kw = dict(I0s=[10.0, 50.0], hs=[0.25], n_paths=64, horizon=5.0, base_seed=11)
         a = truncation_table([P_EXT, P_PERS], **kw)
-        b = truncation_table([P_EXT, P_PERS], chunk=17, **kw)
+        monkeypatch.setattr(analysis, "_CHUNK", 17)
+        b = truncation_table([P_EXT, P_PERS], **kw)
         np.testing.assert_array_equal(a.percent, b.percent)
         assert a.hs == (0.25,)
         assert a.I0s == (10.0, 50.0)
 
 
 class TestMilsteinViolationFraction:
-    def test_deterministic_and_chunk_invariant(self):
+    def test_deterministic_and_chunk_invariant(self, monkeypatch):
         # 8,192 steps cross a time block; chunks of 5 split the 24 paths unevenly
         kw = dict(h=2.0**-13, t_final=1.0, n_paths=24, base_seed=31)
         a = milstein_violation_fraction(P_EXT, **kw)
-        b = milstein_violation_fraction(P_EXT, chunk=5, **kw)
+        monkeypatch.setattr(analysis, "_CHUNK", 5)
+        b = milstein_violation_fraction(P_EXT, **kw)
         assert a == b == 5 / 24
 
 

@@ -10,13 +10,11 @@ import math
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import pytest
 
-from sislab import cli
-from sislab.analysis import strong_error, truncation_table
+from sislab import analysis
 from sislab.cli import ConfigError, main, parse_config, serialize_config
 
 BASE_CFG = """\
@@ -260,6 +258,25 @@ class TestCliErrors:
         assert "Traceback" not in err
         assert not out.is_file() and not list(tmp_path.rglob("dynamics_*.csv"))
 
+    @pytest.mark.parametrize("command", ["simulate", "dynamics"])
+    def test_horizon_within_rounding_of_whole_steps_runs(self, tmp_path, command):
+        # regression: the grid step 1.7 / 17 is 0.09999999999999999, one ulp
+        # from h = 0.1; both commands once exited 1 on that disagreement
+        text = (DYN_EXT_CFG.replace("beta = 0.42", "beta = 0.6")
+                .replace("sigma = 0.9", "sigma = 0.01")
+                .replace("mu_plus_gamma = 10", "mu_plus_gamma = 40")
+                .replace("I0 = 90", "I0 = 10")
+                .replace("t_final = 5", "t_final = 1.7")
+                .replace("h = 2^-2", "h = 0.1")
+                .replace("step_sizes = 2^-2 2^-1", "step_sizes = 0.1"))
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        csv = out if command == "simulate" else out / "dynamics_0p1.csv"
+        lines = csv.read_text().splitlines()
+        assert len(lines) == (19 if command == "simulate" else 7)
+        assert lines[-1].split(",")[0] == ("1.7" if command == "simulate" else "5")
+
     @pytest.mark.parametrize("command, text, message", [
         ("convergence", CONV_CFG.replace("levels = 2^-4 2^-3", "levels = 2^-4"),
          "rate fit needs at least two"),
@@ -371,7 +388,7 @@ class TestConvergence:
         path = write_cfg(tmp_path, CONV_CFG)
         outs = []
         for name, chunk in (("c1", 1024), ("c2", 7)):
-            monkeypatch.setattr(cli, "strong_error", partial(strong_error, chunk=chunk))
+            monkeypatch.setattr(analysis, "_CHUNK", chunk)
             out = tmp_path / name
             code = main(["convergence", "--config", path, "--out", str(out)])
             assert code == 0
@@ -432,8 +449,7 @@ class TestTruncation:
         path = write_cfg(tmp_path, TRUNC_CFG)
         blobs = []
         for name, chunk in (("t1", 8192), ("t2", 5)):
-            monkeypatch.setattr(cli, "truncation_table",
-                                partial(truncation_table, chunk=chunk))
+            monkeypatch.setattr(analysis, "_CHUNK", chunk)
             out = tmp_path / name
             code = main(["truncation", "--config", path, "--out", str(out)])
             assert code == 0

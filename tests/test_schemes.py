@@ -70,7 +70,7 @@ class TestSchemeParams:
 def lcm_one_step(y, dw, p, s):
     """One log-space step from state y: a one-step, 1-row kernel call
     (dZeta = (dw^2 - h) / 2 is rebuilt inside). Returns (y_next, truncated)."""
-    out = lcm_evolve(y, np.array([[dw]]), s.h, p, s, record_flags=True)
+    out = lcm_evolve(y, np.array([[dw]]), p, s, record_flags=True)
     return float(out.y_final[0]), bool(out.flags[0, 0])
 
 
@@ -118,7 +118,7 @@ class TestLcmStep:
         n = 1_000_000
         rng = np.random.default_rng(555)
         dw = rng.normal(0.0, math.sqrt(self.S.h), size=(n, 1))
-        out = lcm_evolve(0.0, dw, self.S.h, P_CONV1, self.S, record_stride=1)
+        out = lcm_evolve(0.0, dw, P_CONV1, self.S, record_stride=1)
         y1 = out.y_snaps[:, 1]
         fy, _, _ = log_coeffs(0.0, P_CONV1)
         se = y1.std() / math.sqrt(n)
@@ -204,7 +204,7 @@ class TestLcmEvolveBatch:
     def test_matches_scalar_route(self):
         s = SchemeParams(h=0.125, alpha=0.1, theta=2.0)
         dw = np.vstack([generate(8, i, 1.0, 8).increments for i in range(5)])
-        out = lcm_evolve(math.log(P_EXT.I0), dw, s.h, P_EXT, s, record_stride=1)
+        out = lcm_evolve(math.log(P_EXT.I0), dw, P_EXT, s, record_stride=1)
         for i in range(5):
             y = math.log(P_EXT.I0)
             for k in range(8):
@@ -214,8 +214,8 @@ class TestLcmEvolveBatch:
     def test_record_stride(self):
         s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
         dw = generate(3, 0, 4.0, 16).increments[None, :]
-        full = lcm_evolve(0.0, dw, s.h, P_EXT, s, record_stride=1)
-        sub = lcm_evolve(0.0, dw, s.h, P_EXT, s, record_stride=4)
+        full = lcm_evolve(0.0, dw, P_EXT, s, record_stride=1)
+        sub = lcm_evolve(0.0, dw, P_EXT, s, record_stride=4)
         np.testing.assert_array_equal(sub.y_snaps, full.y_snaps[:, ::4])
         assert sub.y_snaps.shape == (1, 5)
 
@@ -223,7 +223,7 @@ class TestLcmEvolveBatch:
         p = ModelParams(N=100, beta=0.42, sigma=0.01, mu_plus_gamma=10.0, I0=10.0)
         s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
         dw = np.vstack([generate(21, i, 8.0, 32).increments for i in range(4)])
-        out = lcm_evolve(math.log(p.I0), dw, s.h, p, s, record_flags=True)
+        out = lcm_evolve(math.log(p.I0), dw, p, s, record_flags=True)
         np.testing.assert_array_equal(out.trunc_counts, out.flags.sum(axis=1))
         assert out.trunc_counts.min() > 0
 
@@ -276,7 +276,7 @@ class TestLcmEvolveReference:
         for stride in (None, 1, 4):
             if stride and steps % stride:
                 continue
-            out = lcm_evolve(y0, dw, s.h, p, s, record_stride=stride,
+            out = lcm_evolve(y0, dw, p, s, record_stride=stride,
                              record_flags=True)
             np.testing.assert_array_equal(out.y_final, ref[:, -1])
             np.testing.assert_array_equal(out.flags, flags)
@@ -294,8 +294,8 @@ class TestLcmEvolveReference:
     def test_split_and_resume_matches_reference(self, k):
         p, s, y0, dw = self.case("truncating", 7, 200)
         ref, flags = lcm_reference(y0, dw, p, s)
-        a = lcm_evolve(y0, dw[:, :k], s.h, p, s, record_stride=1, record_flags=True)
-        b = lcm_evolve(a.y_final, dw[:, k:], s.h, p, s, record_stride=1,
+        a = lcm_evolve(y0, dw[:, :k], p, s, record_stride=1, record_flags=True)
+        b = lcm_evolve(a.y_final, dw[:, k:], p, s, record_stride=1,
                        record_flags=True)
         np.testing.assert_array_equal(np.hstack([a.y_snaps, b.y_snaps[:, 1:]]), ref)
         np.testing.assert_array_equal(np.hstack([a.flags, b.flags]), flags)
@@ -317,7 +317,7 @@ class TestLcmEvolveReference:
         for stride in (None, 1, 3, 7):
             if stride and steps % stride:
                 continue
-            out = lcm_evolve(y0, dw, s.h, p, s, record_stride=stride,
+            out = lcm_evolve(y0, dw, p, s, record_stride=stride,
                              record_flags=True)
             np.testing.assert_array_equal(out.y_final, ref[:, -1])
             np.testing.assert_array_equal(out.flags, flags)
@@ -326,7 +326,7 @@ class TestLcmEvolveReference:
                 assert out.y_snaps is None
             else:
                 np.testing.assert_array_equal(out.y_snaps, ref[:, ::stride])
-        plain = lcm_evolve(y0, dw, s.h, p, s)
+        plain = lcm_evolve(y0, dw, p, s)
         assert plain.flags is None
         np.testing.assert_array_equal(plain.y_final, ref[:, -1])
         np.testing.assert_array_equal(plain.trunc_counts, flags.sum(axis=1))
@@ -338,8 +338,8 @@ class TestLcmEvolveReference:
         monkeypatch.setattr(schemes, "_TILE_DOUBLES", self.BUDGET)
         p, s, y0, dw = self.case("truncating", 7, 3 * 147)
         ref, flags = lcm_reference(y0, dw, p, s)
-        a = lcm_evolve(y0, dw[:, :k], s.h, p, s, record_stride=1, record_flags=True)
-        b = lcm_evolve(a.y_final, dw[:, k:], s.h, p, s, record_stride=1,
+        a = lcm_evolve(y0, dw[:, :k], p, s, record_stride=1, record_flags=True)
+        b = lcm_evolve(a.y_final, dw[:, k:], p, s, record_stride=1,
                        record_flags=True)
         np.testing.assert_array_equal(np.hstack([a.y_snaps, b.y_snaps[:, 1:]]), ref)
         np.testing.assert_array_equal(np.hstack([a.flags, b.flags]), flags)
@@ -380,12 +380,12 @@ class TestLcmEvolveGroups:
         # tiles at different steps
         monkeypatch.setattr(schemes, "_TILE_DOUBLES", 1 << 10)
         groups, y0, dw = self.case(n_groups, width, 60)
-        out = lcm_evolve(y0, dw, self.S.h, groups, self.S, record_stride=3,
+        out = lcm_evolve(y0, dw, groups, self.S, record_stride=3,
                          record_flags=True)
         assert out.y_final.shape == out.trunc_counts.shape == (n_groups * width,)
         for g, q in enumerate(groups):
             rows = slice(g * width, (g + 1) * width)
-            one = lcm_evolve(y0[rows], dw, self.S.h, q, self.S, record_stride=3,
+            one = lcm_evolve(y0[rows], dw, q, self.S, record_stride=3,
                              record_flags=True)
             np.testing.assert_array_equal(out.y_final[rows], one.y_final)
             np.testing.assert_array_equal(out.trunc_counts[rows], one.trunc_counts)
@@ -401,11 +401,11 @@ class TestLcmEvolveGroups:
     def test_split_and_resume_equals_one_call(self, monkeypatch, k):
         monkeypatch.setattr(schemes, "_TILE_DOUBLES", 1 << 10)
         groups, y0, dw = self.case(12, 7, 60)
-        whole = lcm_evolve(y0, dw, self.S.h, groups, self.S, record_stride=1,
+        whole = lcm_evolve(y0, dw, groups, self.S, record_stride=1,
                            record_flags=True)
-        a = lcm_evolve(y0, dw[:, :k], self.S.h, groups, self.S, record_stride=1,
+        a = lcm_evolve(y0, dw[:, :k], groups, self.S, record_stride=1,
                        record_flags=True)
-        b = lcm_evolve(a.y_final, dw[:, k:], self.S.h, groups, self.S,
+        b = lcm_evolve(a.y_final, dw[:, k:], groups, self.S,
                        record_stride=1, record_flags=True)
         np.testing.assert_array_equal(np.hstack([a.y_snaps, b.y_snaps[:, 1:]]),
                                       whole.y_snaps)
@@ -413,6 +413,17 @@ class TestLcmEvolveGroups:
         np.testing.assert_array_equal(a.trunc_counts + b.trunc_counts,
                                       whole.trunc_counts)
         assert whole.trunc_counts.any()
+
+    @pytest.mark.parametrize("n_groups", [1, 3])
+    def test_no_steps(self, n_groups):
+        # no tile runs: the start states carry straight through
+        groups, y0, dw = self.case(n_groups, 5, 0)
+        out = lcm_evolve(y0, dw, groups, self.S, record_stride=1,
+                         record_flags=True)
+        np.testing.assert_array_equal(out.y_final, y0)
+        np.testing.assert_array_equal(out.y_snaps, y0[:, None])
+        np.testing.assert_array_equal(out.trunc_counts, np.zeros(n_groups * 5))
+        assert out.flags.shape == (n_groups * 5, 0)
 
 
 class TestSplitRuns:
@@ -428,9 +439,9 @@ class TestSplitRuns:
         s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
         dw = np.vstack([generate(17, i, 3.0, self.STEPS).increments for i in range(6)])
         y0 = math.log(p.I0)
-        whole = lcm_evolve(y0, dw, s.h, p, s)
-        a = lcm_evolve(y0, dw[:, :k], s.h, p, s)
-        b = lcm_evolve(a.y_final, dw[:, k:], s.h, p, s)
+        whole = lcm_evolve(y0, dw, p, s)
+        a = lcm_evolve(y0, dw[:, :k], p, s)
+        b = lcm_evolve(a.y_final, dw[:, k:], p, s)
         np.testing.assert_array_equal(b.y_final, whole.y_final)
         np.testing.assert_array_equal(a.trunc_counts + b.trunc_counts,
                                       whole.trunc_counts)
@@ -458,10 +469,10 @@ class TestSplitRuns:
         s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
         dw = np.vstack([generate(5, i, 2.0, 8).increments for i in range(3)])
         y0 = np.array([-1.0, 0.5, 4.0])
-        out = lcm_evolve(y0, dw, s.h, P_EXT, s, record_stride=1)
+        out = lcm_evolve(y0, dw, P_EXT, s, record_stride=1)
         np.testing.assert_array_equal(out.y_snaps[:, 0], y0)
         for i in range(3):
-            one = lcm_evolve(float(y0[i]), dw[i:i + 1], s.h, P_EXT, s)
+            one = lcm_evolve(float(y0[i]), dw[i:i + 1], P_EXT, s)
             assert one.y_final[0] == out.y_final[i]
 
 
@@ -473,12 +484,11 @@ class TestNonFiniteInput:
         dw = np.zeros((3, 5))
         dw[1, 3] = bad
         with pytest.raises(ValueError, match="finite"):
-            lcm_evolve(0.0, dw, self.S.h, P_CONV1, self.S)
+            lcm_evolve(0.0, dw, P_CONV1, self.S)
 
     def test_lcm_rejects_non_finite_start_state(self):
         with pytest.raises(ValueError, match="finite"):
-            lcm_evolve(np.array([0.0, np.nan]), np.zeros((2, 3)), self.S.h,
-                       P_CONV1, self.S)
+            lcm_evolve(np.array([0.0, np.nan]), np.zeros((2, 3)), P_CONV1, self.S)
 
 
 def milstein_one_step(i, dw, p, h):
@@ -705,7 +715,7 @@ class TestDomainPreservationProperty:
             n_paths = 40
             steps = 32
             dw = rng.normal(0.0, math.sqrt(h), size=(n_paths, steps))
-            out = lcm_evolve(math.log(i0), dw, h, p, s, record_stride=1)
+            out = lcm_evolve(math.log(i0), dw, p, s, record_stride=1)
             y = out.y_snaps
             assert np.all(np.isfinite(y)), (p, s)
             assert np.all(y < math.log(N)), (p, s)
@@ -751,7 +761,7 @@ class TestDomainProperty:
     @given(scheme_cases(max_groups=4))
     def test_one_step_stays_below_log_n(self, case):
         ps, s, y0, dw = case
-        y1 = lcm_evolve(y0, dw, s.h, ps, s).y_final
+        y1 = lcm_evolve(y0, dw, ps, s).y_final
         assert np.isfinite(y1).all()
         assert (y1 < row_log_n(ps, dw.shape[0])).all()
 
@@ -760,9 +770,9 @@ class TestDomainProperty:
     def test_lcm_split_equals_one_call(self, case, k):
         ps, s, y0, dw = case
         k = min(k, dw.shape[1])
-        whole = lcm_evolve(y0, dw, s.h, ps, s)
-        a = lcm_evolve(y0, dw[:, :k], s.h, ps, s)
-        b = lcm_evolve(a.y_final, dw[:, k:], s.h, ps, s)
+        whole = lcm_evolve(y0, dw, ps, s)
+        a = lcm_evolve(y0, dw[:, :k], ps, s)
+        b = lcm_evolve(a.y_final, dw[:, k:], ps, s)
         np.testing.assert_array_equal(b.y_final, whole.y_final)
         np.testing.assert_array_equal(a.trunc_counts + b.trunc_counts,
                                       whole.trunc_counts)

@@ -46,13 +46,13 @@ def collect(p, s_ref, n_paths, base_seed, chunk=500):
         for start in range(0, fine_steps, BLOCK):
             dwf = streams.increments(min(BLOCK, fine_steps - start),
                                      T_FINAL / fine_steps)
-            ref = lcm_evolve(y_ref, dwf, s_ref.h, p, s_ref, record_stride=r_min)
+            ref = lcm_evolve(y_ref, dwf, p, s_ref, record_stride=r_min)
             y_ref = ref.y_final
             yref = ref.y_snaps[:, 1:]  # column 0 is the previous block's end
             iref = np.exp(yref)
             for li, (L, r) in enumerate(zip(LEVELS, ratios)):
                 dwl = dwf.reshape(hi - lo, -1, r).sum(axis=2)
-                out = lcm_evolve(y_lev[li], dwl, L, p, replace(s_ref, h=L),
+                out = lcm_evolve(y_lev[li], dwl, p, replace(s_ref, h=L),
                                  record_stride=1)
                 y_lev[li] = out.y_final
                 q = r // r_min

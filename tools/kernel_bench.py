@@ -31,11 +31,11 @@ TABLE4 = [replace(P, beta=beta, sigma=sigma, mu_plus_gamma=mug, I0=i0)
 TABLE4_Y0 = np.array([math.log(q.I0) for q in TABLE4])
 # name: (kernel, rows stepped per row of dw)
 KERNELS = {
-    "lcm_evolve": (lambda dw: lcm_evolve(math.log(P.I0), dw, S.h, P, S), 1),
+    "lcm_evolve": (lambda dw: lcm_evolve(math.log(P.I0), dw, P, S), 1),
     "milstein_evolve": (
         lambda dw: milstein_evolve(P.I0, dw, S.h, P, record_stride=None), 1),
     "lcm_evolve_x12": (
-        lambda dw: lcm_evolve(np.repeat(TABLE4_Y0, len(dw)), dw, S.h, TABLE4, S),
+        lambda dw: lcm_evolve(np.repeat(TABLE4_Y0, len(dw)), dw, TABLE4, S),
         len(TABLE4)),
 }
 WIDTHS = (1, 25, 128, 1024, 8192)
