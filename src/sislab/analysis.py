@@ -6,10 +6,16 @@ by absolute path index, partial results land in preallocated per-path arrays,
 and reductions run once over those arrays in index order. Each path's stream
 is drawn once, forward in fixed time blocks, and the kernels carry their
 per-row states from block to block, so memory per chunk is bounded by chunk
-times block whatever the horizon. The chunk size (_CHUNK paths) and the time
-blocks are module constants: they change memory use and wall time, never the
-numbers. Where several parameter sets step on the same increments
-(truncation_table), they run as parameter groups of one kernel call.
+times block whatever the horizon. Where several parameter sets step on the
+same increments (truncation_table), they run as parameter groups of one
+kernel call.
+
+Each experiment's path loop is a module-level range worker over paths
+lo .. hi - 1. A large run cuts 0 .. n_paths into one contiguous range per
+available core, runs the ranges in forked worker processes, and joins their
+per-path results in path-index order before reducing them. The chunk size
+(_CHUNK paths), the time blocks and the number of worker processes change
+memory use and wall time, never the numbers.
 
 Argument checks that a config can trip raise ConfigError, a ValueError the
 command line reports as a config error (exit 2).
@@ -18,6 +24,7 @@ command line reports as a config error (exit 2).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,6 +114,41 @@ _BLOCK = 4096
 _TRUNCATION_BLOCK = 32
 # Paths per recording lcm_evolve call in lcm_trajectories.
 _TRAJECTORY_GROUP = 25
+# Kernel row-steps below which a run stays in this process. Starting a
+# fork-context pool of two workers, feeding it and joining it took 11-15 ms
+# (2-core x86-64, Python 3.11); at the experiments' cheapest 25-30 ns per
+# row-step, half of 2M row-steps is 25-30 ms, so sharding repays it twice.
+_SHARD_FLOOR = 2_000_000
+
+
+def _cores():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _over_path_ranges(worker, n_paths, row_steps, *args):
+    """[worker(lo, hi, *args)] over 0 .. n_paths - 1, in path-index order.
+
+    A run of at least _SHARD_FLOOR row-steps is cut into one contiguous
+    range per available core, each run in a forked worker process; a worker's
+    exception is raised here. Anything smaller, or a process that cannot
+    fork safely (no fork start method, or other threads running), makes one
+    call in this process.
+    """
+    n = min(_cores(), n_paths)
+    if n > 1 and row_steps >= _SHARD_FLOOR:
+        import multiprocessing  # imported here: it costs start-up time
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            cuts = [n_paths * k // n for k in range(n + 1)]
+            with ProcessPoolExecutor(
+                    n, mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = [pool.submit(worker, lo, hi, *args)
+                           for lo, hi in zip(cuts, cuts[1:])]
+                return [f.result() for f in futures]
+    return [worker(0, n_paths, *args)]
 
 
 def _whole_steps(t_final, h, what):
@@ -137,48 +179,65 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final):
                 f"reference step {h_ref!r} that divides the horizon")
         ratios.append(r)
 
-    y0 = math.log(params.I0)
     schemes = [replace(scheme_ref, h=L) for L in levels]
-    block = max([_BLOCK, *ratios])  # whole coarse steps of every level
-    gap2 = np.empty((len(levels), n_paths))
-    for lo in range(0, n_paths, _CHUNK):
-        hi = min(lo + _CHUNK, n_paths)
-        streams = PathStreams(base_seed, lo, hi)
-        y_ref = y0
-        y_lev = [y0] * len(levels)
-        for start in range(0, fine_steps, block):
-            dwf = streams.increments(min(block, fine_steps - start),
-                                     t_final / fine_steps)
-            y_ref = lcm_evolve(y_ref, dwf, params, scheme_ref).y_final
-            for li, (s, r) in enumerate(zip(schemes, ratios)):
-                # contiguous cell sums: any other summation axis changes bits
-                dwl = dwf if r == 1 else dwf.reshape(hi - lo, -1, r).sum(axis=2)
-                y_lev[li] = lcm_evolve(y_lev[li], dwl, params, s).y_final
-            dwf = dwl = None  # release this block before drawing the next
-        iref = np.exp(y_ref)
-        for li, y in enumerate(y_lev):
-            gap2[li, lo:hi] = (iref - np.exp(y)) ** 2
+    gap2 = np.concatenate(_over_path_ranges(
+        _strong_error_range, n_paths, n_paths * fine_steps, params, scheme_ref,
+        schemes, ratios, fine_steps, t_final, base_seed), axis=1)
     errors = tuple(math.sqrt(float(np.mean(gap2[li])))
                    for li in range(len(levels)))
     return ErrorTable(step_sizes=levels, errors=errors, n_paths=n_paths,
                       h_reference=h_ref)
 
 
+def _strong_error_range(lo, hi, params, scheme_ref, schemes, ratios, fine_steps,
+                        t_final, base_seed):
+    """End-time gap^2 per level (rows) for paths lo .. hi - 1 (columns)."""
+    y0 = math.log(params.I0)
+    block = max([_BLOCK, *ratios])  # whole coarse steps of every level
+    gap2 = np.empty((len(schemes), hi - lo))
+    for c0 in range(lo, hi, _CHUNK):
+        c1 = min(c0 + _CHUNK, hi)
+        streams = PathStreams(base_seed, c0, c1)
+        y_ref = y0
+        y_lev = [y0] * len(schemes)
+        for start in range(0, fine_steps, block):
+            dwf = streams.increments(min(block, fine_steps - start),
+                                     t_final / fine_steps)
+            y_ref = lcm_evolve(y_ref, dwf, params, scheme_ref).y_final
+            for li, (s, r) in enumerate(zip(schemes, ratios)):
+                # contiguous cell sums: any other summation axis changes bits
+                dwl = dwf if r == 1 else dwf.reshape(c1 - c0, -1, r).sum(axis=2)
+                y_lev[li] = lcm_evolve(y_lev[li], dwl, params, s).y_final
+            dwf = dwl = None  # release this block before drawing the next
+        iref = np.exp(y_ref)
+        for li, y in enumerate(y_lev):
+            gap2[li, c0 - lo:c1 - lo] = (iref - np.exp(y)) ** 2
+    return gap2
+
+
 def milstein_violation_fraction(params, h, t_final, n_paths, base_seed):
     """Fraction of direct-Milstein paths that ever produce a forbidden state
     (negative, above N, or non-finite) before t_final."""
     steps = _whole_steps(t_final, float(h), "t_final")
-    violated = np.zeros(n_paths, dtype=bool)
-    for lo in range(0, n_paths, _CHUNK):
-        hi = min(lo + _CHUNK, n_paths)
-        streams = PathStreams(base_seed, lo, hi)
+    violated = np.concatenate(_over_path_ranges(
+        _violation_range, n_paths, n_paths * steps, params, float(h), t_final,
+        steps, base_seed))
+    return float(violated.mean())
+
+
+def _violation_range(lo, hi, params, h, t_final, steps, base_seed):
+    """Violated flags of paths lo .. hi - 1."""
+    violated = np.zeros(hi - lo, dtype=bool)
+    for c0 in range(lo, hi, _CHUNK):
+        c1 = min(c0 + _CHUNK, hi)
+        streams = PathStreams(base_seed, c0, c1)
         state = params.I0
         for start in range(0, steps, _BLOCK):
             dw = streams.increments(min(_BLOCK, steps - start), t_final / steps)
-            out = milstein_evolve(state, dw, float(h), params, record_stride=None)
+            out = milstein_evolve(state, dw, h, params, record_stride=None)
             state = out.i_final
-            violated[lo:hi] |= out.violated
-    return float(violated.mean())
+            violated[c0 - lo:c1 - lo] |= out.violated
+    return violated
 
 
 @dataclass(frozen=True)
@@ -212,13 +271,24 @@ def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
     groups = [replace(p0, I0=i0) for p0 in param_sets for i0 in I0s]
     schemes = [SchemeParams(h=h, alpha=alpha, theta=theta) for h in hs]
     steps = [_whole_steps(horizon, h, "horizon") for h in hs]
+    counts = sum(_over_path_ranges(
+        _truncation_range, n_paths, n_paths * len(groups) * sum(steps), groups,
+        schemes, steps, horizon, base_seed))
+    percent = 100.0 * counts.T / (n_paths * np.array(steps, dtype=np.int64))
+    return TruncationTable(
+        percent=percent.reshape(len(param_sets), len(I0s), len(hs)), hs=hs,
+        I0s=I0s, labels=tuple(labels))
+
+
+def _truncation_range(lo, hi, groups, schemes, steps, horizon, base_seed):
+    """Truncated-step counts per (step size, group) over paths lo .. hi - 1."""
     y0 = np.array([math.log(q.I0) for q in groups])
     longest = max(steps, default=0)
-    counts = np.zeros((len(hs), len(groups)), dtype=np.int64)
-    for lo in range(0, n_paths, _CHUNK):
-        hi = min(lo + _CHUNK, n_paths)
-        streams = PathStreams(base_seed, lo, hi)
-        states = [np.repeat(y0, hi - lo) for _ in hs]  # group-major rows
+    counts = np.zeros((len(schemes), len(groups)), dtype=np.int64)
+    for c0 in range(lo, hi, _CHUNK):
+        c1 = min(c0 + _CHUNK, hi)
+        streams = PathStreams(base_seed, c0, c1)
+        states = [np.repeat(y0, c1 - c0) for _ in schemes]  # group-major rows
         for start in range(0, longest, _TRUNCATION_BLOCK):
             # step-major once per block, so that the kernels copy whole rows
             z = np.ascontiguousarray(
@@ -229,11 +299,8 @@ def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
                 dw = z[:n - start] * math.sqrt(horizon / n)
                 out = lcm_evolve(states[k], dw.T, groups, s)
                 states[k] = out.y_final
-                counts[k] += out.trunc_counts.reshape(len(groups), hi - lo).sum(axis=1)
-    percent = 100.0 * counts.T / (n_paths * np.array(steps, dtype=np.int64))
-    return TruncationTable(
-        percent=percent.reshape(len(param_sets), len(I0s), len(hs)), hs=hs,
-        I0s=I0s, labels=tuple(labels))
+                counts[k] += out.trunc_counts.reshape(len(groups), c1 - c0).sum(axis=1)
+    return counts
 
 
 def lcm_trajectories(params, scheme, t_final, n_paths, base_seed):

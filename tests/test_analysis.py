@@ -220,6 +220,99 @@ class TestMilsteinViolationFraction:
         assert a == b == 5 / 24
 
 
+class TestShardedRuns:
+    """Runs cut into contiguous path ranges over forked worker processes
+    equal the in-process run bit for bit, for even and uneven cuts and for
+    chunks smaller than a range."""
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        """The (lo, hi) ranges handed to a worker pool, in submission order."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        seen = []
+        submit = ProcessPoolExecutor.submit
+
+        def counting(pool, fn, lo, hi, *args):
+            seen.append((lo, hi))
+            return submit(pool, fn, lo, hi, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
+        return seen
+
+    @staticmethod
+    def shard(monkeypatch, n, chunk=None):
+        """Let the next runs use n worker processes, whatever their size."""
+        monkeypatch.setattr(analysis, "_cores", lambda: n)
+        monkeypatch.setattr(analysis, "_SHARD_FLOOR", 0)
+        if chunk is not None:
+            monkeypatch.setattr(analysis, "_CHUNK", chunk)
+
+    @pytest.mark.parametrize("n_paths, n, chunk, cuts", [
+        (7, 3, None, [(0, 2), (2, 4), (4, 7)]),
+        (30, 2, 7, [(0, 15), (15, 30)]),
+    ])
+    def test_strong_error(self, submitted, monkeypatch, n_paths, n, chunk, cuts):
+        kw = dict(levels=[2.0**-5, 2.0**-4], n_paths=n_paths, base_seed=9,
+                  t_final=1.0)
+        s_ref = SchemeParams(h=2.0**-8, alpha=0.1, theta=2.0)
+        a = strong_error(P_CONV1, s_ref, **kw)
+        assert submitted == []
+        self.shard(monkeypatch, n, chunk)
+        b = strong_error(P_CONV1, s_ref, **kw)
+        assert submitted == cuts
+        assert a.errors == b.errors
+
+    @pytest.mark.parametrize("n_paths, n, chunk, cuts", [
+        (7, 3, None, [(0, 2), (2, 4), (4, 7)]),
+        (64, 2, 17, [(0, 32), (32, 64)]),
+    ])
+    def test_truncation_table(self, submitted, monkeypatch, n_paths, n, chunk, cuts):
+        kw = dict(I0s=[10.0, 50.0], hs=[0.5, 0.25], n_paths=n_paths,
+                  horizon=5.0, base_seed=11)
+        a = truncation_table([P_EXT, P_PERS], **kw)
+        assert submitted == []
+        self.shard(monkeypatch, n, chunk)
+        b = truncation_table([P_EXT, P_PERS], **kw)
+        assert submitted == cuts
+        assert a.percent.tobytes() == b.percent.tobytes()
+
+    def test_milstein_violation_fraction(self, submitted, monkeypatch):
+        # 8,192 steps cross a time block; 3 ranges of 8 paths in chunks of 5
+        kw = dict(h=2.0**-13, t_final=1.0, n_paths=24, base_seed=31)
+        a = milstein_violation_fraction(P_EXT, **kw)
+        assert submitted == []
+        self.shard(monkeypatch, 3, chunk=5)
+        b = milstein_violation_fraction(P_EXT, **kw)
+        assert submitted == [(0, 8), (8, 16), (16, 24)]
+        assert a == b == 5 / 24
+
+    def test_no_more_ranges_than_paths(self, submitted, monkeypatch):
+        kw = dict(h=2.0**-2, t_final=5.0, n_paths=2, base_seed=606)
+        a = milstein_violation_fraction(P_EXT, **kw)
+        self.shard(monkeypatch, 3)
+        assert milstein_violation_fraction(P_EXT, **kw) == a
+        assert submitted == [(0, 1), (1, 2)]
+
+    def test_worker_exception_reaches_caller(self, submitted, monkeypatch):
+        def fault(*args, **kwargs):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr(analysis, "lcm_evolve", fault)
+        self.shard(monkeypatch, 2)
+        with pytest.raises(ValueError, match="injected fault"):
+            truncation_table([P_EXT], I0s=[10.0], hs=[0.5], n_paths=8,
+                             horizon=5.0, base_seed=3)
+        assert len(submitted) == 2
+
+    def test_small_runs_stay_in_process(self, submitted, monkeypatch):
+        # criterion 6's coarse run: 1,000 paths x 20 steps is below the floor
+        monkeypatch.setattr(analysis, "_cores", lambda: 2)
+        milstein_violation_fraction(P_EXT, h=2.0**-2, t_final=5.0,
+                                    n_paths=1000, base_seed=606)
+        assert submitted == []
+
+
 class TestFrozenOutputs:
     """Small runs whose outputs were recorded, as repr floats, from the code
     that drew every path whole before stepping it. Time blocks must not move

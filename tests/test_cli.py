@@ -193,6 +193,26 @@ class TestSerializeConfig:
             assert parse_config(again) == cfg
 
 
+def run_python(script):
+    """Run script in a fresh interpreter that imports sislab from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+def test_import_leaves_process_pools_out():
+    # the path-range pool's modules load only when a run is sharded, so they
+    # cost no start-up time
+    proc = run_python("import sys\n"
+                      "import sislab.cli\n"
+                      "print(sorted({'multiprocessing', 'concurrent.futures'}"
+                      " & set(sys.modules)))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestCliErrors:
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
@@ -317,6 +337,26 @@ class TestCliErrors:
                               text=True, timeout=120, env=env)
         assert proc.returncode == 1
         assert "Traceback" in proc.stderr
+        assert "ValueError: injected fault" in proc.stderr
+        assert "config error" not in proc.stderr
+
+    def test_internal_value_error_in_worker_exits_1(self, tmp_path):
+        # the same fault raised inside a forked path-range worker must reach
+        # the parent as the ValueError it is, not as a config error
+        path = write_cfg(tmp_path, TRUNC_CFG)
+        argv = ["truncation", "--config", path, "--out", str(tmp_path / "o")]
+        script = ("import sys\n"
+                  "import sislab.analysis\n"
+                  "from sislab.cli import main\n"
+                  "def fault(*args, **kwargs):\n"
+                  "    raise ValueError('injected fault')\n"
+                  "sislab.analysis.lcm_evolve = fault\n"
+                  "sislab.analysis._cores = lambda: 2\n"
+                  "sislab.analysis._SHARD_FLOOR = 0\n"
+                  f"sys.exit(main({argv!r}))\n")
+        proc = run_python(script)
+        assert proc.returncode == 1
+        assert "_RemoteTraceback" in proc.stderr  # raised in a worker
         assert "ValueError: injected fault" in proc.stderr
         assert "config error" not in proc.stderr
 
