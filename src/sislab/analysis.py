@@ -10,12 +10,12 @@ times block whatever the horizon. Where several parameter sets step on the
 same increments (truncation_table), they run as parameter groups of one
 kernel call.
 
-Each experiment's path loop is a module-level range worker over paths
-lo .. hi - 1. A large run cuts 0 .. n_paths into one contiguous range per
-available core, runs the ranges in forked worker processes, and joins their
-per-path results in path-index order before reducing them. The chunk size
-(_CHUNK paths), the time blocks and the number of worker processes change
-memory use and wall time, never the numbers.
+Each experiment's chunk loop is one module-level worker per _CHUNK paths,
+handed that chunk's streams by one walker, _over_chunks. A large run cuts
+0 .. n_paths into one contiguous range per available core and walks them in
+forked worker processes; the per-chunk results are joined in path-index
+order before one reduction. The chunk size, the time blocks and the number
+of worker processes change memory use and wall time, never the numbers.
 
 Argument checks that a config can trip raise ConfigError, a ValueError the
 command line reports as a config error (exit 2).
@@ -29,13 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    ExtinctionCase,
-    extinction_case,
-    f_max_sigma,
-    persistence_lambda,
-    reproduction_numbers,
-)
+from .model import regime_report
 from .paths import PathStreams, generate
 from .schemes import _STEP_RTOL, SchemeParams, lcm_evolve, milstein_evolve
 
@@ -125,15 +119,17 @@ def _cores():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _over_path_ranges(worker, n_paths, row_steps, *args):
-    """[worker(lo, hi, *args)] over 0 .. n_paths - 1, in path-index order.
+def _over_chunks(worker, n_paths, base_seed, row_steps, *args):
+    """[worker(streams, *args)] over the _CHUNK-path chunks of paths
+    0 .. n_paths - 1, in path-index order.
 
-    A run of at least _SHARD_FLOOR row-steps is cut into one contiguous
-    range per available core, each run in a forked worker process; a worker's
-    exception is raised here. Anything smaller, or a process that cannot
-    fork safely (no fork start method, or other threads running), makes one
-    call in this process.
+    A run of at least _SHARD_FLOOR row-steps is cut into one contiguous range
+    per available core, each walked in a forked worker process; a worker's
+    exception is raised here. Anything smaller, or a process that cannot fork
+    safely (no fork start method, or other threads running), is walked here.
     """
+    if n_paths < 1:
+        raise ConfigError(f"n_paths must be positive, got {n_paths!r}")
     n = min(_cores(), n_paths)
     if n > 1 and row_steps >= _SHARD_FLOOR:
         import multiprocessing  # imported here: it costs start-up time
@@ -145,10 +141,15 @@ def _over_path_ranges(worker, n_paths, row_steps, *args):
             cuts = [n_paths * k // n for k in range(n + 1)]
             with ProcessPoolExecutor(
                     n, mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = [pool.submit(worker, lo, hi, *args)
+                futures = [pool.submit(_walk_chunks, lo, hi, worker, base_seed, *args)
                            for lo, hi in zip(cuts, cuts[1:])]
-                return [f.result() for f in futures]
-    return [worker(0, n_paths, *args)]
+                return [r for f in futures for r in f.result()]
+    return _walk_chunks(0, n_paths, worker, base_seed, *args)
+
+
+def _walk_chunks(lo, hi, worker, base_seed, *args):
+    return [worker(PathStreams(base_seed, c0, min(c0 + _CHUNK, hi)), *args)
+            for c0 in range(lo, hi, _CHUNK)]
 
 
 def _whole_steps(t_final, h, what):
@@ -180,38 +181,34 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final):
         ratios.append(r)
 
     schemes = [replace(scheme_ref, h=L) for L in levels]
-    gap2 = np.concatenate(_over_path_ranges(
-        _strong_error_range, n_paths, n_paths * fine_steps, params, scheme_ref,
-        schemes, ratios, fine_steps, t_final, base_seed), axis=1)
+    gap2 = np.concatenate(_over_chunks(
+        _strong_error_chunk, n_paths, base_seed, n_paths * fine_steps, params,
+        scheme_ref, schemes, ratios, fine_steps, t_final), axis=1)
     errors = tuple(math.sqrt(float(np.mean(gap2[li])))
                    for li in range(len(levels)))
     return ErrorTable(step_sizes=levels, errors=errors, n_paths=n_paths,
                       h_reference=h_ref)
 
 
-def _strong_error_range(lo, hi, params, scheme_ref, schemes, ratios, fine_steps,
-                        t_final, base_seed):
-    """End-time gap^2 per level (rows) for paths lo .. hi - 1 (columns)."""
+def _strong_error_chunk(streams, params, scheme_ref, schemes, ratios,
+                        fine_steps, t_final):
+    """End-time gap^2 per level (rows) for one chunk's paths (columns)."""
     y0 = math.log(params.I0)
     block = max([_BLOCK, *ratios])  # whole coarse steps of every level
-    gap2 = np.empty((len(schemes), hi - lo))
-    for c0 in range(lo, hi, _CHUNK):
-        c1 = min(c0 + _CHUNK, hi)
-        streams = PathStreams(base_seed, c0, c1)
-        y_ref = y0
-        y_lev = [y0] * len(schemes)
-        for start in range(0, fine_steps, block):
-            dwf = streams.increments(min(block, fine_steps - start),
-                                     t_final / fine_steps)
-            y_ref = lcm_evolve(y_ref, dwf, params, scheme_ref).y_final
-            for li, (s, r) in enumerate(zip(schemes, ratios)):
-                # contiguous cell sums: any other summation axis changes bits
-                dwl = dwf if r == 1 else dwf.reshape(c1 - c0, -1, r).sum(axis=2)
-                y_lev[li] = lcm_evolve(y_lev[li], dwl, params, s).y_final
-            dwf = dwl = None  # release this block before drawing the next
-        iref = np.exp(y_ref)
-        for li, y in enumerate(y_lev):
-            gap2[li, c0 - lo:c1 - lo] = (iref - np.exp(y)) ** 2
+    y_ref, y_lev = y0, [y0] * len(schemes)
+    for start in range(0, fine_steps, block):
+        dwf = streams.increments(min(block, fine_steps - start),
+                                 t_final / fine_steps)
+        y_ref = lcm_evolve(y_ref, dwf, params, scheme_ref).y_final
+        for li, (s, r) in enumerate(zip(schemes, ratios)):
+            # contiguous cell sums: any other summation axis changes bits
+            dwl = dwf if r == 1 else dwf.reshape(len(dwf), -1, r).sum(axis=2)
+            y_lev[li] = lcm_evolve(y_lev[li], dwl, params, s).y_final
+        dwf = dwl = None  # release this block before drawing the next
+    iref = np.exp(y_ref)
+    gap2 = np.empty((len(schemes), len(streams)))
+    for li, y in enumerate(y_lev):
+        gap2[li] = (iref - np.exp(y)) ** 2
     return gap2
 
 
@@ -219,24 +216,21 @@ def milstein_violation_fraction(params, h, t_final, n_paths, base_seed):
     """Fraction of direct-Milstein paths that ever produce a forbidden state
     (negative, above N, or non-finite) before t_final."""
     steps = _whole_steps(t_final, float(h), "t_final")
-    violated = np.concatenate(_over_path_ranges(
-        _violation_range, n_paths, n_paths * steps, params, float(h), t_final,
-        steps, base_seed))
+    violated = np.concatenate(_over_chunks(
+        _violation_chunk, n_paths, base_seed, n_paths * steps, params, float(h),
+        t_final, steps))
     return float(violated.mean())
 
 
-def _violation_range(lo, hi, params, h, t_final, steps, base_seed):
-    """Violated flags of paths lo .. hi - 1."""
-    violated = np.zeros(hi - lo, dtype=bool)
-    for c0 in range(lo, hi, _CHUNK):
-        c1 = min(c0 + _CHUNK, hi)
-        streams = PathStreams(base_seed, c0, c1)
-        state = params.I0
-        for start in range(0, steps, _BLOCK):
-            dw = streams.increments(min(_BLOCK, steps - start), t_final / steps)
-            out = milstein_evolve(state, dw, h, params, record_stride=None)
-            state = out.i_final
-            violated[c0 - lo:c1 - lo] |= out.violated
+def _violation_chunk(streams, params, h, t_final, steps):
+    """Violated flags of one chunk's paths."""
+    violated = np.zeros(len(streams), dtype=bool)
+    state = params.I0
+    for start in range(0, steps, _BLOCK):
+        dw = streams.increments(min(_BLOCK, steps - start), t_final / steps)
+        out = milstein_evolve(state, dw, h, params)
+        state = out.i_final
+        violated |= out.violated
     return violated
 
 
@@ -271,35 +265,32 @@ def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
     groups = [replace(p0, I0=i0) for p0 in param_sets for i0 in I0s]
     schemes = [SchemeParams(h=h, alpha=alpha, theta=theta) for h in hs]
     steps = [_whole_steps(horizon, h, "horizon") for h in hs]
-    counts = sum(_over_path_ranges(
-        _truncation_range, n_paths, n_paths * len(groups) * sum(steps), groups,
-        schemes, steps, horizon, base_seed))
+    counts = sum(_over_chunks(
+        _truncation_chunk, n_paths, base_seed, n_paths * len(groups) * sum(steps),
+        groups, schemes, steps, horizon))
     percent = 100.0 * counts.T / (n_paths * np.array(steps, dtype=np.int64))
     return TruncationTable(
         percent=percent.reshape(len(param_sets), len(I0s), len(hs)), hs=hs,
         I0s=I0s, labels=tuple(labels))
 
 
-def _truncation_range(lo, hi, groups, schemes, steps, horizon, base_seed):
-    """Truncated-step counts per (step size, group) over paths lo .. hi - 1."""
-    y0 = np.array([math.log(q.I0) for q in groups])
+def _truncation_chunk(streams, groups, schemes, steps, horizon):
+    """Truncated-step counts per (step size, group) over one chunk's paths."""
     longest = max(steps, default=0)
     counts = np.zeros((len(schemes), len(groups)), dtype=np.int64)
-    for c0 in range(lo, hi, _CHUNK):
-        c1 = min(c0 + _CHUNK, hi)
-        streams = PathStreams(base_seed, c0, c1)
-        states = [np.repeat(y0, c1 - c0) for _ in schemes]  # group-major rows
-        for start in range(0, longest, _TRUNCATION_BLOCK):
-            # step-major once per block, so that the kernels copy whole rows
-            z = np.ascontiguousarray(
-                streams.normals(min(_TRUNCATION_BLOCK, longest - start)).T)
-            for k, (s, n) in enumerate(zip(schemes, steps)):
-                if n <= start:
-                    continue
-                dw = z[:n - start] * math.sqrt(horizon / n)
-                out = lcm_evolve(states[k], dw.T, groups, s)
-                states[k] = out.y_final
-                counts[k] += out.trunc_counts.reshape(len(groups), c1 - c0).sum(axis=1)
+    y0 = np.repeat([math.log(q.I0) for q in groups], len(streams))  # group-major
+    states = [y0] * len(schemes)
+    for start in range(0, longest, _TRUNCATION_BLOCK):
+        # step-major once per block, so that the kernels copy whole rows
+        z = np.ascontiguousarray(
+            streams.normals(min(_TRUNCATION_BLOCK, longest - start)).T)
+        for k, (s, n) in enumerate(zip(schemes, steps)):
+            if n <= start:
+                continue
+            dw = z[:n - start] * math.sqrt(horizon / n)
+            out = lcm_evolve(states[k], dw.T, groups, s)
+            states[k] = out.y_final
+            counts[k] += out.trunc_counts.reshape(len(groups), -1).sum(axis=1)
     return counts
 
 
@@ -318,8 +309,7 @@ def lcm_trajectories(params, scheme, t_final, n_paths, base_seed):
         group = range(lo, min(lo + _TRAJECTORY_GROUP, n_paths))
         dw = np.stack([generate(base_seed, j, t_final, steps).increments
                        for j in group])
-        out = lcm_evolve(y0, dw, params, scheme, record_stride=1,
-                         record_flags=True)
+        out = lcm_evolve(y0, dw, params, scheme, record=True)
         for row, j in enumerate(group):
             yield j, out.trajectory(row, h)
 
@@ -375,18 +365,16 @@ def classify_dynamics(traj, p):
         log_term = -math.inf
     lyap = log_term / t_span
 
-    _, r0s = reproduction_numbers(p)
-    case = extinction_case(p)
+    rep = regime_report(p)
     kind = "Inconclusive"
     crossings = 0
-    if r0s < 1.0 and case is not ExtinctionCase.NEITHER:
-        decay = f_max_sigma(p)
-        if lyap <= (1.0 - _MARGIN) * decay and terminal < _EXTINCTION_FLOOR:
+    if rep.f_max_sigma is not None:
+        if lyap <= (1.0 - _MARGIN) * rep.f_max_sigma and terminal < _EXTINCTION_FLOOR:
             kind = "Extinct"
-    elif r0s > 1.0:
-        lam = persistence_lambda(p)
+    elif rep.persistence_lambda is not None:
         tail = times >= times[0] + 0.5 * t_span
-        crossings = count_crossings(np.asarray(traj.values)[tail], lam)
+        crossings = count_crossings(np.asarray(traj.values)[tail],
+                                    rep.persistence_lambda)
         if crossings >= _MIN_CROSSINGS:
             kind = "Persistent"
     return DynamicsVerdict(kind=kind, lyapunov_estimate=lyap,

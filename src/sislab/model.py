@@ -136,28 +136,26 @@ def f_max_sigma(p):
         "and beta^2/(2(mu+gamma))")
 
 
-def _persistence_residual(lam, p):
-    return (p.beta * p.N - p.mu_plus_gamma - p.beta * lam
-            - 0.5 * p.sigma**2 * (p.N - lam) ** 2)
+_LAMBDA_TOL = 1e-12  # residual at which persistence_lambda's bisection stops
 
 
-def persistence_lambda(p, tol=1e-12, max_iter=200):
+def persistence_lambda(p):
     """Root of beta N - mu - gamma - beta lam - sigma^2 (N - lam)^2 / 2 in (0, N).
 
     The residual is concave in lam, positive at 0 exactly when R0^S > 1, and
     equals -(mu + gamma) at N, so plain bisection is safe. Iterates until the
-    residual is within tol.
+    residual is within _LAMBDA_TOL, for at most 200 halvings.
     """
     _, r0s = reproduction_numbers(p)
     if r0s <= 1.0:
         raise PreconditionError(
             f"R0^S = {r0s:g} <= 1: persistence level requires R0^S > 1")
     lo, hi = 0.0, float(p.N)
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = _persistence_residual(mid, p)
-        if abs(val) <= tol:
+        val = (p.beta * p.N - p.mu_plus_gamma - p.beta * mid
+               - 0.5 * p.sigma**2 * (p.N - mid) ** 2)
+        if abs(val) <= _LAMBDA_TOL:
             break
         if val > 0.0:
             lo = mid

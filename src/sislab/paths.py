@@ -77,9 +77,12 @@ class PathStreams:
     def __init__(self, base_seed, lo, hi):
         self._rngs = [path_rng(base_seed, j) for j in range(lo, hi)]
 
+    def __len__(self):
+        return len(self._rngs)
+
     def normals(self, count):
         """The next count standard normals of every path, shape (rows, count)."""
-        out = np.empty((len(self._rngs), count))
+        out = np.empty((len(self), count))
         for row, rng in zip(out, self._rngs):
             rng.standard_normal(out=row)
         return out
@@ -98,9 +101,6 @@ class LevyIncrements:
 
     h: float
     dW: np.ndarray
-
-    def __len__(self):
-        return len(self.dW)
 
 
 def coarsen(grid, level):

@@ -14,9 +14,10 @@ single-path functions lcm_simulate and milstein_direct_simulate are 1-row
 views of it, so a path run alone is bit-identical to the same path run as a
 row of a batch. Both kernels step in place (every operation of a step writes
 into a preallocated row) on one tile walker, which rebuilds dZeta =
-(dW^2 - h) / 2 from dW, records and carries states once per tile of steps.
-lcm_evolve steps at the scheme's h and takes one ModelParams per group of
-rows, so many parameter sets step on shared increments in one call.
+(dW^2 - h) / 2 from dW, records (with record=True, every state) and carries
+states once per tile of steps. lcm_evolve steps at the scheme's h and takes
+one ModelParams per group of rows, so many parameter sets step on shared
+increments in one call.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class LcmBatch:
     flags: np.ndarray | None
 
     def trajectory(self, row, h):
-        """Row `row` of a run with record_stride=1 and record_flags=True, as a
-        Trajectory on a grid of step h."""
+        """Row `row` of a run with record=True, as a Trajectory on a grid of
+        step h."""
         y = self.y_snaps[row]
         return Trajectory(times=np.arange(len(y)) * h, values=np.exp(y),
                           log_values=y,
@@ -113,22 +114,19 @@ def _tile_steps(n_rows, steps):
     return max(1, min(steps, _TILE_DOUBLES // max(n_rows, 1)))
 
 
-def _walk_tiles(start, dw, h, groups, record_stride, step_tile):
+def _walk_tiles(start, dw, h, groups, record, step_tile):
     """Step start's rows (row g W + r reads row r of dw) tile by tile.
 
     step_tile(k0, states, w, z) steps one tile: w and z hold its dW and dZeta
     = (dW^2 - h) / 2, one row per step, and it writes the state after row j's
     step into states[j + 1] from states[0], the state before step k0. Returns
-    every record_stride-th state from the initial one (None without a stride)
-    and the final states.
+    every state from the initial one (None unless record) and the final
+    states.
     """
     width, steps = dw.shape
     n_rows = len(start)
-    snaps = None
-    if record_stride is not None:
-        if steps % record_stride:
-            raise ValueError("record_stride must divide the step count")
-        snaps = np.empty((n_rows, steps // record_stride + 1))
+    snaps = np.empty((n_rows, steps + 1)) if record else None
+    if record:
         snaps[:, 0] = start
     tile = _tile_steps(n_rows, steps)
     states = np.empty((tile + 1, n_rows))
@@ -144,16 +142,12 @@ def _walk_tiles(start, dw, h, groups, record_stride, step_tile):
         z -= 0.5 * h
         step_tile(k0, states[:n + 1], w, z)
         if snaps is not None:
-            # state k0 + first is the tile's first record, in row first - 1
-            first = record_stride - k0 % record_stride
-            recorded = new[first - 1::record_stride]
-            j = (k0 + first) // record_stride
-            snaps[:, j:j + len(recorded)] = recorded.T
+            snaps[:, k0 + 1:k0 + n + 1] = new.T
         states[0] = new[-1]
     return snaps, states[0].copy()
 
 
-def lcm_evolve(y0, dw, p, s, record_stride=None, record_flags=False):
+def lcm_evolve(y0, dw, p, s, record=False):
     """Evolve a batch of log-space paths from y0, one start state per row or
     a scalar shared by all rows, at the scheme's step s.h.
 
@@ -161,9 +155,9 @@ def lcm_evolve(y0, dw, p, s, record_stride=None, record_flags=False):
     increment path and one column per step, and every group runs on all of
     it: row g W + r of the batch uses p[g] and row r of dw, so y0, y_final,
     trunc_counts and the recordings have G W rows (G = 1 for one ModelParams).
-    dZeta = (dW^2 - h) / 2 is rebuilt from dw internally. With
-    record_stride=r, y_snaps holds every r-th state including the initial
-    one; with record_flags=True, flags marks each truncated step.
+    dZeta = (dW^2 - h) / 2 is rebuilt from dw internally. With record=True,
+    y_snaps holds every state including the initial one and flags marks each
+    truncated step; otherwise both are None.
     A run split at any step and resumed from y_final equals one call bit for
     bit (trunc_counts add up), so callers may feed increments in time blocks.
     Non-finite start states or increments raise ValueError.
@@ -181,7 +175,7 @@ def lcm_evolve(y0, dw, p, s, record_stride=None, record_flags=False):
     if not (np.isfinite(start).all() and np.isfinite(dw).all()):
         raise ValueError("start states and increments must be finite")
     counts = np.zeros(n_rows, dtype=np.int64)
-    flags = np.zeros((n_rows, steps), dtype=bool) if record_flags else None
+    flags = np.zeros((n_rows, steps), dtype=bool) if record else None
 
     table = []
     for q in groups:
@@ -232,7 +226,7 @@ def lcm_evolve(y0, dw, p, s, record_stride=None, record_flags=False):
         if flags is not None:
             flags[:, k0:k0 + len(w)] = hits.T
 
-    snaps, final = _walk_tiles(start, dw, s.h, len(groups), record_stride, step_tile)
+    snaps, final = _walk_tiles(start, dw, s.h, len(groups), record, step_tile)
     return LcmBatch(y_snaps=snaps, y_final=final, trunc_counts=counts, flags=flags)
 
 
@@ -245,8 +239,8 @@ def lcm_simulate(inc, p, s):
         inc = coarsen(inc, 0)
     if not math.isclose(inc.h, s.h, rel_tol=_STEP_RTOL):
         raise ValueError(f"increment step {inc.h} disagrees with scheme step {s.h}")
-    return lcm_evolve(math.log(p.I0), inc.dW[None, :], p, s, record_stride=1,
-                      record_flags=True).trajectory(0, inc.h)
+    return lcm_evolve(math.log(p.I0), inc.dW[None, :], p, s,
+                      record=True).trajectory(0, inc.h)
 
 
 @dataclass
@@ -259,9 +253,10 @@ class MilsteinBatch:
     exploded: np.ndarray
 
 
-def milstein_evolve(i0, dw, h, p, record_stride=1):
+def milstein_evolve(i0, dw, h, p, record=False):
     """Evolve a batch of direct-Milstein paths from i0, one start state per
-    row or a scalar shared by all rows.
+    row or a scalar shared by all rows. With record=True, i_snaps holds every
+    state including the initial one; otherwise it is None.
 
     A path is flagged violated once it produces a state the dynamics forbids:
     negative, above N, or non-finite. Exactly 0 and exactly N are boundary
@@ -316,7 +311,7 @@ def milstein_evolve(i0, dw, h, p, record_stride=1):
 
     with np.errstate(over="ignore", invalid="ignore"):
         snaps, i_final = _walk_tiles(np.full(n_paths, i0, dtype=np.float64), dw, h,
-                                     1, record_stride, step_tile)
+                                     1, record, step_tile)
     return MilsteinBatch(i_snaps=snaps, i_final=i_final, violated=violated,
                          exploded=~np.isfinite(i_final))
 
@@ -327,7 +322,7 @@ def milstein_direct_simulate(inc, p):
     and where it stops being finite. A 1-row view of milstein_evolve, which
     rebuilds dZeta from inc.dW.
     """
-    values = milstein_evolve(p.I0, inc.dW[None, :], inc.h, p).i_snaps[0]
+    values = milstein_evolve(p.I0, inc.dW[None, :], inc.h, p, record=True).i_snaps[0]
     outside = np.flatnonzero(~((values >= 0.0) & (values <= p.N)))
     blown = np.flatnonzero(~np.isfinite(values))
     violation_index = int(outside[0]) if outside.size else None

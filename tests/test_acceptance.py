@@ -103,7 +103,7 @@ def test_criterion_3_unconditional_domain_preservation():
                          theta=float(rng.uniform(1.5, 3.0)))
         n_paths, steps = 100, 32
         dw = rng.normal(0.0, math.sqrt(h), size=(n_paths, steps))
-        out = lcm_evolve(math.log(p.I0), dw, p, s, record_stride=1)
+        out = lcm_evolve(math.log(p.I0), dw, p, s, record=True)
         y = out.y_snaps
         violations += int(np.sum(~np.isfinite(y)) + np.sum(y >= math.log(N)))
         draws += n_paths

@@ -17,6 +17,7 @@ from sislab.model import ModelParams
 from sislab.paths import coarsen, generate
 from sislab.schemes import SchemeParams, Trajectory, lcm_simulate
 from sislab.analysis import (
+    ConfigError,
     ErrorTable,
     RateFit,
     classify_dynamics,
@@ -292,6 +293,10 @@ class TestShardedRuns:
         a = milstein_violation_fraction(P_EXT, **kw)
         self.shard(monkeypatch, 3)
         assert milstein_violation_fraction(P_EXT, **kw) == a
+        assert submitted == [(0, 1), (1, 2)]
+        # no paths is no range at all: rejected before any worker starts
+        with pytest.raises(ConfigError, match="n_paths"):
+            milstein_violation_fraction(P_EXT, **dict(kw, n_paths=0))
         assert submitted == [(0, 1), (1, 2)]
 
     def test_worker_exception_reaches_caller(self, submitted, monkeypatch):

@@ -99,7 +99,7 @@ class TestLogCoefficients:
 
     def test_f_vanishes_at_log_lambda(self):
         # identity: the transformed-coordinate root sits at log(lambda)
-        lam = persistence_lambda(P_PERS, tol=1e-12)
+        lam = persistence_lambda(P_PERS)
         assert abs(log_coeffs(math.log(lam), P_PERS)[0]) <= 1e-11
 
     def test_log_coeffs_matches_separate_functions(self):
@@ -171,7 +171,7 @@ class TestPersistenceLambda:
         assert abs(lam - 32.9588) < 1e-3  # 4-decimal value quoted with the example
 
     def test_residual_bound(self):
-        lam = persistence_lambda(P_PERS, tol=1e-12)
+        lam = persistence_lambda(P_PERS)
         resid = (P_PERS.beta * P_PERS.N - P_PERS.mu_plus_gamma - P_PERS.beta * lam
                  - 0.5 * P_PERS.sigma**2 * (P_PERS.N - lam) ** 2)
         assert abs(resid) <= 1e-12
@@ -212,7 +212,7 @@ class TestPersistenceAlphaBound:
     def test_equals_log_ratio_of_population_to_lambda(self):
         # algebraic identity: sigma^2 N - beta + sqrt(rad) = sigma^2 lambda,
         # so the bound is h^-theta * log(N / lambda)
-        lam = persistence_lambda(P_PERS, tol=1e-14)
+        lam = persistence_lambda(P_PERS)
         b = persistence_alpha_bound(P_PERS, h=0.25, theta=2.0)
         assert b == pytest.approx(16.0 * math.log(P_PERS.N / lam), rel=1e-9)
 

@@ -70,7 +70,7 @@ class TestSchemeParams:
 def lcm_one_step(y, dw, p, s):
     """One log-space step from state y: a one-step, 1-row kernel call
     (dZeta = (dw^2 - h) / 2 is rebuilt inside). Returns (y_next, truncated)."""
-    out = lcm_evolve(y, np.array([[dw]]), p, s, record_flags=True)
+    out = lcm_evolve(y, np.array([[dw]]), p, s, record=True)
     return float(out.y_final[0]), bool(out.flags[0, 0])
 
 
@@ -118,7 +118,7 @@ class TestLcmStep:
         n = 1_000_000
         rng = np.random.default_rng(555)
         dw = rng.normal(0.0, math.sqrt(self.S.h), size=(n, 1))
-        out = lcm_evolve(0.0, dw, P_CONV1, self.S, record_stride=1)
+        out = lcm_evolve(0.0, dw, P_CONV1, self.S, record=True)
         y1 = out.y_snaps[:, 1]
         fy, _, _ = log_coeffs(0.0, P_CONV1)
         se = y1.std() / math.sqrt(n)
@@ -157,7 +157,7 @@ class TestLcmSimulate:
         traj = lcm_simulate(inc, p, s)
         count = 0
         y = math.log(p.I0)
-        for k in range(len(inc)):
+        for k in range(len(inc.dW)):
             y, truncated = lcm_one_step(y, inc.dW[k], p, s)
             count += truncated
         assert traj.truncation_count == count
@@ -204,28 +204,30 @@ class TestLcmEvolveBatch:
     def test_matches_scalar_route(self):
         s = SchemeParams(h=0.125, alpha=0.1, theta=2.0)
         dw = np.vstack([generate(8, i, 1.0, 8).increments for i in range(5)])
-        out = lcm_evolve(math.log(P_EXT.I0), dw, P_EXT, s, record_stride=1)
+        out = lcm_evolve(math.log(P_EXT.I0), dw, P_EXT, s, record=True)
         for i in range(5):
             y = math.log(P_EXT.I0)
             for k in range(8):
                 y, _ = lcm_one_step(y, dw[i, k], P_EXT, s)
             assert y == out.y_snaps[i, -1]
 
-    def test_record_stride(self):
-        s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
-        dw = generate(3, 0, 4.0, 16).increments[None, :]
-        full = lcm_evolve(0.0, dw, P_EXT, s, record_stride=1)
-        sub = lcm_evolve(0.0, dw, P_EXT, s, record_stride=4)
-        np.testing.assert_array_equal(sub.y_snaps, full.y_snaps[:, ::4])
-        assert sub.y_snaps.shape == (1, 5)
-
     def test_truncation_counts(self):
         p = ModelParams(N=100, beta=0.42, sigma=0.01, mu_plus_gamma=10.0, I0=10.0)
         s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
         dw = np.vstack([generate(21, i, 8.0, 32).increments for i in range(4)])
-        out = lcm_evolve(math.log(p.I0), dw, p, s, record_flags=True)
+        out = lcm_evolve(math.log(p.I0), dw, p, s, record=True)
         np.testing.assert_array_equal(out.trunc_counts, out.flags.sum(axis=1))
         assert out.trunc_counts.min() > 0
+
+    def test_no_steps(self):
+        # no tile runs: the start states are the only record
+        p, s = P_EXT, SchemeParams(h=0.25, alpha=0.1, theta=2.0)
+        y0 = np.array([-1.0, 0.5, 4.0])
+        out = lcm_evolve(y0, np.empty((3, 0)), p, s, record=True)
+        np.testing.assert_array_equal(out.y_final, y0)
+        np.testing.assert_array_equal(out.y_snaps, y0[:, None])
+        assert out.flags.shape == (3, 0)
+        np.testing.assert_array_equal(out.trunc_counts, np.zeros(3))
 
 
 def lcm_reference(y0, dw, p, s):
@@ -248,7 +250,7 @@ def lcm_reference(y0, dw, p, s):
 
 class TestLcmEvolveReference:
     """lcm_evolve equals the per-step reference bit for bit, at every width,
-    step count, recording mode, and split point."""
+    step count, split point, and with and without recording."""
 
     # sigma = 0.01 truncates about every other step at h = 1/4; P_CONV1 from
     # I = 1 at h = 2^-4 never comes near log N
@@ -273,18 +275,15 @@ class TestLcmEvolveReference:
     def test_matches_per_step_reference(self, name, width, steps):
         p, s, y0, dw = self.case(name, width, steps)
         ref, flags = lcm_reference(y0, dw, p, s)
-        for stride in (None, 1, 4):
-            if stride and steps % stride:
-                continue
-            out = lcm_evolve(y0, dw, p, s, record_stride=stride,
-                             record_flags=True)
+        for record in (False, True):
+            out = lcm_evolve(y0, dw, p, s, record=record)
             np.testing.assert_array_equal(out.y_final, ref[:, -1])
-            np.testing.assert_array_equal(out.flags, flags)
             np.testing.assert_array_equal(out.trunc_counts, flags.sum(axis=1))
-            if stride is None:
-                assert out.y_snaps is None
+            if record:
+                np.testing.assert_array_equal(out.y_snaps, ref)
+                np.testing.assert_array_equal(out.flags, flags)
             else:
-                np.testing.assert_array_equal(out.y_snaps, ref[:, ::stride])
+                assert out.y_snaps is None and out.flags is None
         if name == "inside":
             assert not flags.any()
         elif width * steps >= 37:
@@ -294,9 +293,8 @@ class TestLcmEvolveReference:
     def test_split_and_resume_matches_reference(self, k):
         p, s, y0, dw = self.case("truncating", 7, 200)
         ref, flags = lcm_reference(y0, dw, p, s)
-        a = lcm_evolve(y0, dw[:, :k], p, s, record_stride=1, record_flags=True)
-        b = lcm_evolve(a.y_final, dw[:, k:], p, s, record_stride=1,
-                       record_flags=True)
+        a = lcm_evolve(y0, dw[:, :k], p, s, record=True)
+        b = lcm_evolve(a.y_final, dw[:, k:], p, s, record=True)
         np.testing.assert_array_equal(np.hstack([a.y_snaps, b.y_snaps[:, 1:]]), ref)
         np.testing.assert_array_equal(np.hstack([a.flags, b.flags]), flags)
 
@@ -314,22 +312,15 @@ class TestLcmEvolveReference:
                  "ragged": 3 * (tile - 1)}[kind]
         p, s, y0, dw = self.case(name, width, steps)
         ref, flags = lcm_reference(y0, dw, p, s)
-        for stride in (None, 1, 3, 7):
-            if stride and steps % stride:
-                continue
-            out = lcm_evolve(y0, dw, p, s, record_stride=stride,
-                             record_flags=True)
+        for record in (False, True):
+            out = lcm_evolve(y0, dw, p, s, record=record)
             np.testing.assert_array_equal(out.y_final, ref[:, -1])
-            np.testing.assert_array_equal(out.flags, flags)
             np.testing.assert_array_equal(out.trunc_counts, flags.sum(axis=1))
-            if stride is None:
-                assert out.y_snaps is None
+            if record:
+                np.testing.assert_array_equal(out.y_snaps, ref)
+                np.testing.assert_array_equal(out.flags, flags)
             else:
-                np.testing.assert_array_equal(out.y_snaps, ref[:, ::stride])
-        plain = lcm_evolve(y0, dw, p, s)
-        assert plain.flags is None
-        np.testing.assert_array_equal(plain.y_final, ref[:, -1])
-        np.testing.assert_array_equal(plain.trunc_counts, flags.sum(axis=1))
+                assert out.y_snaps is None and out.flags is None
         if name == "truncating" and steps > 1:
             assert flags.any()
 
@@ -338,9 +329,8 @@ class TestLcmEvolveReference:
         monkeypatch.setattr(schemes, "_TILE_DOUBLES", self.BUDGET)
         p, s, y0, dw = self.case("truncating", 7, 3 * 147)
         ref, flags = lcm_reference(y0, dw, p, s)
-        a = lcm_evolve(y0, dw[:, :k], p, s, record_stride=1, record_flags=True)
-        b = lcm_evolve(a.y_final, dw[:, k:], p, s, record_stride=1,
-                       record_flags=True)
+        a = lcm_evolve(y0, dw[:, :k], p, s, record=True)
+        b = lcm_evolve(a.y_final, dw[:, k:], p, s, record=True)
         np.testing.assert_array_equal(np.hstack([a.y_snaps, b.y_snaps[:, 1:]]), ref)
         np.testing.assert_array_equal(np.hstack([a.flags, b.flags]), flags)
         np.testing.assert_array_equal(a.trunc_counts + b.trunc_counts,
@@ -380,33 +370,33 @@ class TestLcmEvolveGroups:
         # tiles at different steps
         monkeypatch.setattr(schemes, "_TILE_DOUBLES", 1 << 10)
         groups, y0, dw = self.case(n_groups, width, 60)
-        out = lcm_evolve(y0, dw, groups, self.S, record_stride=3,
-                         record_flags=True)
-        assert out.y_final.shape == out.trunc_counts.shape == (n_groups * width,)
-        for g, q in enumerate(groups):
-            rows = slice(g * width, (g + 1) * width)
-            one = lcm_evolve(y0[rows], dw, q, self.S, record_stride=3,
-                             record_flags=True)
-            np.testing.assert_array_equal(out.y_final[rows], one.y_final)
-            np.testing.assert_array_equal(out.trunc_counts[rows], one.trunc_counts)
-            np.testing.assert_array_equal(out.flags[rows], one.flags)
-            np.testing.assert_array_equal(out.y_snaps[rows], one.y_snaps)
-            assert (out.y_snaps[rows] < math.log(q.N)).all()
-            if q.sigma == self.INSIDE.sigma:
-                assert not one.flags.any()
-            else:
-                assert one.flags.any()
+        for record in (False, True):
+            out = lcm_evolve(y0, dw, groups, self.S, record=record)
+            assert out.y_final.shape == out.trunc_counts.shape == (n_groups * width,)
+            if not record:
+                assert out.y_snaps is None and out.flags is None
+            for g, q in enumerate(groups):
+                rows = slice(g * width, (g + 1) * width)
+                one = lcm_evolve(y0[rows], dw, q, self.S, record=True)
+                np.testing.assert_array_equal(out.y_final[rows], one.y_final)
+                np.testing.assert_array_equal(out.trunc_counts[rows],
+                                              one.trunc_counts)
+                if record:
+                    np.testing.assert_array_equal(out.flags[rows], one.flags)
+                    np.testing.assert_array_equal(out.y_snaps[rows], one.y_snaps)
+                assert (one.y_snaps < math.log(q.N)).all()
+                if q.sigma == self.INSIDE.sigma:
+                    assert not one.flags.any()
+                else:
+                    assert one.flags.any()
 
     @pytest.mark.parametrize("k", [1, 17, 59])
     def test_split_and_resume_equals_one_call(self, monkeypatch, k):
         monkeypatch.setattr(schemes, "_TILE_DOUBLES", 1 << 10)
         groups, y0, dw = self.case(12, 7, 60)
-        whole = lcm_evolve(y0, dw, groups, self.S, record_stride=1,
-                           record_flags=True)
-        a = lcm_evolve(y0, dw[:, :k], groups, self.S, record_stride=1,
-                       record_flags=True)
-        b = lcm_evolve(a.y_final, dw[:, k:], groups, self.S,
-                       record_stride=1, record_flags=True)
+        whole = lcm_evolve(y0, dw, groups, self.S, record=True)
+        a = lcm_evolve(y0, dw[:, :k], groups, self.S, record=True)
+        b = lcm_evolve(a.y_final, dw[:, k:], groups, self.S, record=True)
         np.testing.assert_array_equal(np.hstack([a.y_snaps, b.y_snaps[:, 1:]]),
                                       whole.y_snaps)
         np.testing.assert_array_equal(np.hstack([a.flags, b.flags]), whole.flags)
@@ -418,8 +408,7 @@ class TestLcmEvolveGroups:
     def test_no_steps(self, n_groups):
         # no tile runs: the start states carry straight through
         groups, y0, dw = self.case(n_groups, 5, 0)
-        out = lcm_evolve(y0, dw, groups, self.S, record_stride=1,
-                         record_flags=True)
+        out = lcm_evolve(y0, dw, groups, self.S, record=True)
         np.testing.assert_array_equal(out.y_final, y0)
         np.testing.assert_array_equal(out.y_snaps, y0[:, None])
         np.testing.assert_array_equal(out.trunc_counts, np.zeros(n_groups * 5))
@@ -457,9 +446,9 @@ class TestSplitRuns:
                        + [np.zeros(self.STEPS), np.full(self.STEPS, 50.0),
                           generate(23, 3, 3.0, self.STEPS).increments])
         i0 = np.array([P_EXT.I0] * 5 + [0.0])
-        whole = milstein_evolve(i0, dw, h, P_EXT, record_stride=None)
-        a = milstein_evolve(i0, dw[:, :k], h, P_EXT, record_stride=None)
-        b = milstein_evolve(a.i_final, dw[:, k:], h, P_EXT, record_stride=None)
+        whole = milstein_evolve(i0, dw, h, P_EXT, )
+        a = milstein_evolve(i0, dw[:, :k], h, P_EXT, )
+        b = milstein_evolve(a.i_final, dw[:, k:], h, P_EXT, )
         np.testing.assert_array_equal(b.i_final, whole.i_final)  # NaN rows too
         np.testing.assert_array_equal(a.violated | b.violated, whole.violated)
         np.testing.assert_array_equal(a.exploded | b.exploded, whole.exploded)
@@ -469,7 +458,7 @@ class TestSplitRuns:
         s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
         dw = np.vstack([generate(5, i, 2.0, 8).increments for i in range(3)])
         y0 = np.array([-1.0, 0.5, 4.0])
-        out = lcm_evolve(y0, dw, P_EXT, s, record_stride=1)
+        out = lcm_evolve(y0, dw, P_EXT, s, record=True)
         np.testing.assert_array_equal(out.y_snaps[:, 0], y0)
         for i in range(3):
             one = lcm_evolve(float(y0[i]), dw[i:i + 1], P_EXT, s)
@@ -494,7 +483,7 @@ class TestNonFiniteInput:
 def milstein_one_step(i, dw, p, h):
     """One direct-Milstein step from state i: a one-step, 1-row kernel call
     (dZeta = (dw^2 - h) / 2 is rebuilt inside)."""
-    out = milstein_evolve(i, np.array([[dw]]), h, p, record_stride=None)
+    out = milstein_evolve(i, np.array([[dw]]), h, p, )
     return float(out.i_final[0])
 
 
@@ -576,17 +565,15 @@ class TestMilsteinEvolveTiles:
                  "ragged": 3 * (tile - 1)}[kind]
         i0, dw, h = self.case(width, steps)
         ref, violated, exploded = milstein_reference(i0, dw, h, P_EXT)
-        for stride in (None, 1, 3):
-            if stride and steps % stride:
-                continue
-            out = milstein_evolve(i0, dw, h, P_EXT, record_stride=stride)
+        for record in (False, True):
+            out = milstein_evolve(i0, dw, h, P_EXT, record=record)
             np.testing.assert_array_equal(out.i_final, ref[:, -1])
             np.testing.assert_array_equal(out.violated, violated)
             np.testing.assert_array_equal(out.exploded, exploded)
-            if stride is None:
-                assert out.i_snaps is None
+            if record:
+                np.testing.assert_array_equal(out.i_snaps, ref)
             else:
-                np.testing.assert_array_equal(out.i_snaps, ref[:, ::stride])
+                assert out.i_snaps is None
         if width >= 7:
             np.testing.assert_array_equal(violated[1:6], [True] * 3 + [False, True])
             np.testing.assert_array_equal(exploded[1:6], [True] * 3 + [False] * 2)
@@ -599,7 +586,7 @@ class TestMilsteinEvolveTiles:
         steps = 2 * tile + 3
         i0, dw, h = self.case(width, steps)
         ref, violated, exploded = milstein_reference(i0, dw, h, P_EXT)
-        out = milstein_evolve(i0, dw, h, P_EXT, record_stride=1)
+        out = milstein_evolve(i0, dw, h, P_EXT, record=True)
         np.testing.assert_array_equal(out.i_snaps, ref)
         np.testing.assert_array_equal(out.violated, violated)
         np.testing.assert_array_equal(out.exploded, exploded)
@@ -609,15 +596,15 @@ class TestMilsteinEvolveTiles:
         monkeypatch.setattr(schemes, "_TILE_DOUBLES", self.BUDGET)
         i0, dw, h = self.case(7, 3 * 145)
         ref, violated, exploded = milstein_reference(i0, dw, h, P_EXT)
-        a = milstein_evolve(i0, dw[:, :k], h, P_EXT, record_stride=1)
-        b = milstein_evolve(a.i_final, dw[:, k:], h, P_EXT, record_stride=1)
+        a = milstein_evolve(i0, dw[:, :k], h, P_EXT, record=True)
+        b = milstein_evolve(a.i_final, dw[:, k:], h, P_EXT, record=True)
         np.testing.assert_array_equal(np.hstack([a.i_snaps, b.i_snaps[:, 1:]]), ref)
         np.testing.assert_array_equal(a.violated | b.violated, violated)
         np.testing.assert_array_equal(a.exploded | b.exploded, exploded)
 
     def test_no_steps(self):
         i0 = np.array([50.0, np.inf])
-        out = milstein_evolve(i0, np.empty((2, 0)), 0.25, P_EXT)
+        out = milstein_evolve(i0, np.empty((2, 0)), 0.25, P_EXT, record=True)
         np.testing.assert_array_equal(out.i_final, i0)
         np.testing.assert_array_equal(out.i_snaps, i0[:, None])
         np.testing.assert_array_equal(out.exploded, [False, True])
@@ -677,14 +664,14 @@ class TestMilsteinSimulate:
         h, n = 2.0**-14, 200_000
         dw = generate(base_seed=1414, path_index=0, t_final=n * h,
                       fine_steps=n).increments[:, None]
-        out = milstein_evolve(i0, dw, h, P_EXT, record_stride=None)
+        out = milstein_evolve(i0, dw, h, P_EXT, )
         p = MILSTEIN_EXIT_H14[i0]
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(out.violated.mean() - p) <= 5.0 * se
 
     def test_batch_matches_single(self):
         dw = np.vstack([generate(13, i, 1.0, 16).increments for i in range(3)])
-        out = milstein_evolve(P_EXT.I0, dw, 1.0 / 16, P_EXT, record_stride=1)
+        out = milstein_evolve(P_EXT.I0, dw, 1.0 / 16, P_EXT, record=True)
         for i in range(3):
             inc = LevyIncrements(h=1.0 / 16, dW=dw[i])
             traj = milstein_direct_simulate(inc, P_EXT)
@@ -715,7 +702,7 @@ class TestDomainPreservationProperty:
             n_paths = 40
             steps = 32
             dw = rng.normal(0.0, math.sqrt(h), size=(n_paths, steps))
-            out = lcm_evolve(math.log(i0), dw, p, s, record_stride=1)
+            out = lcm_evolve(math.log(i0), dw, p, s, record=True)
             y = out.y_snaps
             assert np.all(np.isfinite(y)), (p, s)
             assert np.all(y < math.log(N)), (p, s)
@@ -785,9 +772,9 @@ class TestDomainProperty:
         (p,), s, y0, dw = case
         k = min(k, dw.shape[1])
         i0 = np.exp(y0)
-        whole = milstein_evolve(i0, dw, s.h, p, record_stride=None)
-        a = milstein_evolve(i0, dw[:, :k], s.h, p, record_stride=None)
-        b = milstein_evolve(a.i_final, dw[:, k:], s.h, p, record_stride=None)
+        whole = milstein_evolve(i0, dw, s.h, p, )
+        a = milstein_evolve(i0, dw[:, :k], s.h, p, )
+        b = milstein_evolve(a.i_final, dw[:, k:], s.h, p, )
         np.testing.assert_array_equal(b.i_final, whole.i_final)
         np.testing.assert_array_equal(a.violated | b.violated, whole.violated)
         np.testing.assert_array_equal(a.exploded | b.exploded, whole.exploded)

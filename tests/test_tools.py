@@ -3,19 +3,15 @@
 Most tools take minutes, so no test runs them, and a private helper they
 import could be renamed or deleted without any test noticing. This parses
 them instead and fails on any ``from sislab... import _name``. The kernel
-width sweep and the error-statistic diagnostic are fast at a tiny size, so
-they also run here.
+width sweep is fast at a tiny size, so it also runs here.
 """
 
 import ast
-import importlib.util
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,8 +30,7 @@ def test_tool_imports_only_public_names(script):
 
 
 def test_tools_are_found():
-    assert {p.name for p in TOOLS} >= {"derive_oracles.py", "diag_error_stat.py",
-                                       "kernel_bench.py"}
+    assert {p.name for p in TOOLS} >= {"derive_oracles.py", "kernel_bench.py"}
 
 
 def test_kernel_bench_runs_small():
@@ -52,16 +47,3 @@ def test_kernel_bench_runs_small():
     assert [row.split()[:2] for row in rows] == [
         ["1", "64"], ["25", "2"], ["128", "1"], ["1024", "1"], ["8192", "1"]]
     assert all(float(cell) > 0.0 for row in rows for cell in row.split()[2:])
-
-
-def test_diag_error_stat_collect_small():
-    spec = importlib.util.spec_from_file_location(
-        "diag_error_stat", ROOT / "tools" / "diag_error_stat.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    _, p, s, seed, _ = tool.CASES[0]
-    stats = tool.collect(p, replace(s, h=2.0**-10), 8, seed)
-    assert set(stats) >= {"sup_L2", "term_L2", "grid_L2"}
-    for name, values in stats.items():
-        assert values.shape == (len(tool.LEVELS),), name
-        assert np.isfinite(values).all(), name

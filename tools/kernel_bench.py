@@ -32,8 +32,7 @@ TABLE4_Y0 = np.array([math.log(q.I0) for q in TABLE4])
 # name: (kernel, rows stepped per row of dw)
 KERNELS = {
     "lcm_evolve": (lambda dw: lcm_evolve(math.log(P.I0), dw, P, S), 1),
-    "milstein_evolve": (
-        lambda dw: milstein_evolve(P.I0, dw, S.h, P, record_stride=None), 1),
+    "milstein_evolve": (lambda dw: milstein_evolve(P.I0, dw, S.h, P), 1),
     "lcm_evolve_x12": (
         lambda dw: lcm_evolve(np.repeat(TABLE4_Y0, len(dw)), dw, TABLE4, S),
         len(TABLE4)),
