@@ -6,9 +6,10 @@ by absolute path index, partial results land in preallocated per-path arrays,
 and reductions run once over those arrays in index order. Each path's stream
 is drawn once, forward in fixed time blocks, and the kernels carry their
 per-row states from block to block, so memory per chunk is bounded by chunk
-times block whatever the horizon. Where several parameter sets step on the
-same increments (truncation_table), they run as parameter groups of one
-kernel call.
+times block whatever the horizon. Parameter sets on shared increments
+(truncation_table) run as parameter groups of one kernel call. Only
+lcm_trajectories keeps whole paths: it steps each _CHUNK paths, drawn by
+generate, in one recording kernel call.
 
 Each experiment's chunk loop is one module-level worker per _CHUNK paths,
 handed that chunk's streams by one walker, _over_chunks. A large run cuts
@@ -106,8 +107,6 @@ _BLOCK = 4096
 # path-step), and scales a copy of each block per step size, so it steps in
 # short blocks: chunk x block is 32,768 doubles.
 _TRUNCATION_BLOCK = 32
-# Paths per recording lcm_evolve call in lcm_trajectories.
-_TRAJECTORY_GROUP = 25
 # Kernel row-steps below which a run stays in this process. Starting a
 # fork-context pool of two workers, feeding it and joining it took 11-15 ms
 # (2-core x86-64, Python 3.11); at the experiments' cheapest 25-30 ns per
@@ -298,20 +297,22 @@ def lcm_trajectories(params, scheme, t_final, n_paths, base_seed):
     """Recorded log-space trajectories of paths 0 .. n_paths - 1, yielded as
     (path_index, Trajectory) in index order.
 
-    Each path's increments come from generate, and each group of paths is
-    stepped by one recording lcm_evolve call, so every trajectory equals, bit
-    for bit, lcm_simulate on that path's own draw.
+    Each path's increments come from generate, and each _CHUNK paths step in
+    one recording lcm_evolve call, so every trajectory equals, bit for bit,
+    lcm_simulate on that path's own draw.
     """
+    if n_paths < 1:
+        raise ConfigError(f"n_paths must be positive, got {n_paths!r}")
     steps = _whole_steps(t_final, scheme.h, "t_final")
     h = t_final / steps  # the grid's own step, as lcm_simulate times it
     y0 = math.log(params.I0)
-    for lo in range(0, n_paths, _TRAJECTORY_GROUP):
-        group = range(lo, min(lo + _TRAJECTORY_GROUP, n_paths))
-        dw = np.stack([generate(base_seed, j, t_final, steps).increments
-                       for j in group])
+    for lo in range(0, n_paths, _CHUNK):
+        paths = range(lo, min(lo + _CHUNK, n_paths))
+        dw = np.empty((len(paths), steps))
+        for row, j in enumerate(paths):
+            dw[row] = generate(base_seed, j, t_final, steps).increments
         out = lcm_evolve(y0, dw, params, scheme, record=True)
-        for row, j in enumerate(group):
-            yield j, out.trajectory(row, h)
+        yield from ((j, out.trajectory(row, h)) for row, j in enumerate(paths))
 
 
 def count_crossings(values, level):

@@ -13,6 +13,7 @@ parameter set sits in the extinction or the persistence regime.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,11 +190,11 @@ class RegimeReport:
     persistence_lambda: float | None
 
 
+@functools.cache
 def regime_report(p):
     r0d, r0s = reproduction_numbers(p)
     case = extinction_case(p)
-    fmax = None
-    lam = None
+    fmax = lam = None
     if r0s < 1.0 and case is not ExtinctionCase.NEITHER:
         fmax = f_max_sigma(p)
     elif r0s > 1.0:

@@ -14,10 +14,10 @@ single-path functions lcm_simulate and milstein_direct_simulate are 1-row
 views of it, so a path run alone is bit-identical to the same path run as a
 row of a batch. Both kernels step in place (every operation of a step writes
 into a preallocated row) on one tile walker, which rebuilds dZeta =
-(dW^2 - h) / 2 from dW, records (with record=True, every state) and carries
-states once per tile of steps. lcm_evolve steps at the scheme's h and takes
-one ModelParams per group of rows, so many parameter sets step on shared
-increments in one call.
+(dW^2 - h) / 2 from dW once per tile of steps and, with record=True, steps
+straight into one step-major array of every state. lcm_evolve steps at the
+scheme's h and takes one ModelParams per group of rows, so many parameter
+sets step on shared increments in one call.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ class Trajectory:
 
 @dataclass
 class LcmBatch:
-    """Batch evolution output: final states plus optional recordings."""
+    """Batch evolution output: final states plus optional recordings, which
+    are transposed views of step-major arrays and so not C-contiguous."""
 
     y_snaps: np.ndarray | None
     y_final: np.ndarray
@@ -117,34 +118,31 @@ def _tile_steps(n_rows, steps):
 def _walk_tiles(start, dw, h, groups, record, step_tile):
     """Step start's rows (row g W + r reads row r of dw) tile by tile.
 
-    step_tile(k0, states, w, z) steps one tile: w and z hold its dW and dZeta
+    step_tile(k, states, w, z) steps one tile: w and z hold its dW and dZeta
     = (dW^2 - h) / 2, one row per step, and it writes the state after row j's
-    step into states[j + 1] from states[0], the state before step k0. Returns
-    every state from the initial one (None unless record) and the final
-    states.
+    step into states[j + 1] from states[0], which is row k of a buffer of every
+    state with record (k is the tile's first step), else of one tile (k = 0).
+    Returns that recording transposed (None unless record) and final states.
     """
     width, steps = dw.shape
     n_rows = len(start)
-    snaps = np.empty((n_rows, steps + 1)) if record else None
-    if record:
-        snaps[:, 0] = start
     tile = _tile_steps(n_rows, steps)
-    states = np.empty((tile + 1, n_rows))
+    states = np.empty((steps + 1 if record else tile + 1, n_rows))
     states[0] = start
     w_tile, z_tile = np.empty((2, tile, n_rows))
     for k0 in range(0, steps, tile):
         n = min(tile, steps - k0)
-        w, z, new = w_tile[:n], z_tile[:n], states[1:n + 1]
+        w, z = w_tile[:n], z_tile[:n]
         # every group reads the same increments
         np.copyto(w.reshape(n, groups, width), dw[:, k0:k0 + n].T[:, None, :])
         np.multiply(w, w, z)
         z *= 0.5
         z -= 0.5 * h
-        step_tile(k0, states[:n + 1], w, z)
-        if snaps is not None:
-            snaps[:, k0 + 1:k0 + n + 1] = new.T
-        states[0] = new[-1]
-    return snaps, states[0].copy()
+        k = k0 if record else 0
+        step_tile(k, states[k:k + n + 1], w, z)
+        if not record:
+            states[0] = states[n]
+    return (states.T if record else None), states[-1 if record else 0].copy()
 
 
 def lcm_evolve(y0, dw, p, s, record=False):
@@ -156,8 +154,9 @@ def lcm_evolve(y0, dw, p, s, record=False):
     it: row g W + r of the batch uses p[g] and row r of dw, so y0, y_final,
     trunc_counts and the recordings have G W rows (G = 1 for one ModelParams).
     dZeta = (dW^2 - h) / 2 is rebuilt from dw internally. With record=True,
-    y_snaps holds every state including the initial one and flags marks each
-    truncated step; otherwise both are None.
+    y_snaps holds every state from the initial one and flags each truncated
+    step, as transposed views of step-major arrays (not C-contiguous);
+    otherwise both are None.
     A run split at any step and resumed from y_final equals one call bit for
     bit (trunc_counts add up), so callers may feed increments in time blocks.
     Non-finite start states or increments raise ValueError.
@@ -175,7 +174,6 @@ def lcm_evolve(y0, dw, p, s, record=False):
     if not (np.isfinite(start).all() and np.isfinite(dw).all()):
         raise ValueError("start states and increments must be finite")
     counts = np.zeros(n_rows, dtype=np.int64)
-    flags = np.zeros((n_rows, steps), dtype=bool) if record else None
 
     table = []
     for q in groups:
@@ -195,12 +193,12 @@ def lcm_evolve(y0, dw, p, s, record=False):
     log_n, reset, a1, a2, c0, big_n, sigma, neg_s2, step = np.repeat(
         np.array(table, dtype=np.float64).reshape(-1, 9).T, width, axis=1)
     ex, fy, gy, ggy, n_ex = np.empty((5, n_rows))
-    hit_tile = np.empty((_tile_steps(n_rows, steps), n_rows), dtype=bool)
+    hit_rows = np.empty((steps if record else _tile_steps(n_rows, steps), n_rows), bool)
     # ufuncs with the output as third argument, cheaper to call than out=
     exp, mul, add, sub, ge = np.exp, np.multiply, np.add, np.subtract, np.greater_equal
 
-    def step_tile(k0, states, w, z):
-        hits = hit_tile[:len(w)]
+    def step_tile(k, states, w, z):
+        hits = hit_rows[k:k + len(w)]
         for y, nxt, dw_k, dz_k, hit in zip(states, states[1:], w, z, hits):
             # log_coeffs: f = (-s2/2 e^y + (s2 N - beta)) e^y + c0,
             # g = sigma (N - e^y), g g' = -s2 e^y (N - e^y)
@@ -223,11 +221,10 @@ def lcm_evolve(y0, dw, p, s, record=False):
             ge(nxt, log_n, hit)
             np.copyto(nxt, reset, where=hit)
         counts[...] += hits.sum(axis=0)
-        if flags is not None:
-            flags[:, k0:k0 + len(w)] = hits.T
 
     snaps, final = _walk_tiles(start, dw, s.h, len(groups), record, step_tile)
-    return LcmBatch(y_snaps=snaps, y_final=final, trunc_counts=counts, flags=flags)
+    return LcmBatch(y_snaps=snaps, y_final=final, trunc_counts=counts,
+                    flags=hit_rows.T if record else None)
 
 
 def lcm_simulate(inc, p, s):
@@ -256,7 +253,8 @@ class MilsteinBatch:
 def milstein_evolve(i0, dw, h, p, record=False):
     """Evolve a batch of direct-Milstein paths from i0, one start state per
     row or a scalar shared by all rows. With record=True, i_snaps holds every
-    state including the initial one; otherwise it is None.
+    state including the initial one, as a transposed view of a step-major
+    array (not C-contiguous); otherwise it is None.
 
     A path is flagged violated once it produces a state the dynamics forbids:
     negative, above N, or non-finite. Exactly 0 and exactly N are boundary
@@ -285,7 +283,7 @@ def milstein_evolve(i0, dw, h, p, record=False):
     # ufuncs with the output as third argument, cheaper to call than out=
     mul, sub, add = np.multiply, np.subtract, np.add
 
-    def step_tile(k0, states, w, z):
+    def step_tile(k, states, w, z):
         new = states[1:]
         for I, nxt, dw_k, dz_k in zip(states, new, w, z):
             # a = I (c - beta I), b = sigma I (N - I), b' = sigma (N - 2 I);

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from sislab import analysis
+from sislab import analysis, schemes
 from sislab.model import ModelParams
 from sislab.paths import coarsen, generate
 from sislab.schemes import SchemeParams, Trajectory, lcm_simulate
@@ -352,10 +352,17 @@ class TestFrozenOutputs:
 
 
 class TestLcmTrajectories:
-    @pytest.mark.parametrize("p, t_final", [(P_PERS, 50.0), (P_EXT, 5.0)])
-    def test_rows_equal_per_path_runs(self, p, t_final):
-        # 30 paths span two groups; each row must equal lcm_simulate on the
-        # path's own draw, and classify the same
+    @pytest.mark.parametrize("p, t_final, small", [
+        (P_PERS, 50.0, False), (P_EXT, 5.0, False), (P_PERS, 50.0, True),
+        (P_EXT, 5.0, True)], ids=["p0-50.0", "p1-5.0", "p0-50.0-small", "p1-5.0-small"])
+    def test_rows_equal_per_path_runs(self, monkeypatch, p, t_final, small):
+        # each row must equal lcm_simulate on the path's own draw, and classify
+        # the same; small budgets put a call boundary (16-path chunks) inside
+        # these 30 paths, and tile boundaries (64 steps at 16 rows) inside the
+        # 200-step runs
+        if small:
+            monkeypatch.setattr(analysis, "_CHUNK", 16)
+            monkeypatch.setattr(schemes, "_TILE_DOUBLES", 1 << 10)
         s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
         steps = round(t_final / s.h)
         rows = list(lcm_trajectories(p, s, t_final, 30, base_seed=5001))
@@ -374,6 +381,13 @@ class TestLcmTrajectories:
         with pytest.raises(ValueError):
             list(lcm_trajectories(P_PERS, SchemeParams(h=0.3, alpha=0.1, theta=2.0),
                                   1.0, 2, base_seed=1))
+
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_non_positive_paths_rejected(self, n_paths):
+        runs = lcm_trajectories(P_PERS, SchemeParams(h=0.25, alpha=0.1, theta=2.0),
+                                5.0, n_paths, base_seed=1)
+        with pytest.raises(ConfigError, match="n_paths must be positive"):
+            next(runs)
 
 
 class TestCsvWriters:

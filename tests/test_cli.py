@@ -6,6 +6,7 @@ outside every supported regime. Any other exception escapes main, so the
 process exits 1 with a traceback; that one is checked in a subprocess.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -16,6 +17,8 @@ import pytest
 
 from sislab import analysis
 from sislab.cli import ConfigError, main, parse_config, serialize_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_CFG = """\
 [model]
@@ -195,7 +198,7 @@ class TestSerializeConfig:
 
 def run_python(script):
     """Run script in a fresh interpreter that imports sislab from this tree."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -330,7 +333,7 @@ class TestCliErrors:
                   "    raise ValueError('injected fault')\n"
                   "sislab.analysis.lcm_evolve = fault\n"
                   f"sys.exit(main({argv!r}))\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        src = str(ROOT / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -471,6 +474,24 @@ class TestDynamics:
                      "--paths", "3"]) == 0
         lines = (out / "dynamics_2m2.csv").read_text().splitlines()
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_persistence_summaries_are_frozen(self, tmp_path, monkeypatch, cached):
+        # sha256 of the summaries recorded from the code that stepped 25 paths
+        # per recording call and reran regime_report for every trajectory;
+        # neither the cached report nor wider calls may move a byte
+        if not cached:
+            monkeypatch.setattr(analysis, "regime_report",
+                                analysis.regime_report.__wrapped__)
+        expected = {
+            "2m2": "765e7db39d783b359994e79c215daec645fca83dc157c78b0d474c451b240ef5",
+            "2m1": "5ea58d4074b06bbb011de9afb6bd543140019d806a6d5ca06b3dc167aff99e34",
+        }
+        out = tmp_path / "dyn"
+        assert main(["dynamics", "--config", str(ROOT / "configs" / "ex5_4.cfg"),
+                     "--out", str(out), "--paths", "30"]) == 0
+        assert {label: hashlib.sha256((out / f"dynamics_{label}.csv").read_bytes())
+                .hexdigest() for label in expected} == expected
 
 
 class TestTruncation:

@@ -4,6 +4,7 @@ Expected values marked "oracle" were derived independently in
 tools/derive_oracles.py (mpmath, 50 digits) before the implementation existed.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -288,3 +289,9 @@ class TestRegimeReport:
         assert rep.extinction_case is ExtinctionCase.NEITHER
         assert rep.f_max_sigma is None
         assert rep.persistence_lambda is None
+
+    def test_computed_once_per_parameter_set(self):
+        # classify_dynamics asks once per trajectory; equal parameters share
+        # one report instead of rerunning persistence_lambda's bisection
+        assert regime_report(P_PERS) is regime_report(P_PERS)
+        assert regime_report(dataclasses.replace(P_PERS)) is regime_report(P_PERS)

@@ -7,7 +7,9 @@ scheme stays in its domain, and reports the best of three timings. The
 lcm_evolve_x12 column steps the 12 (set, I0) pairs of
 configs/table4_sets.cfg as parameter groups of one call on the same
 increments, as truncation_table does: 12 x width rows, counted per row. The
-default run takes under ten seconds. Dev-only; not part of the package:
+lcm_evolve_rec column is lcm_evolve with record=True on the same dw, as
+lcm_trajectories steps, keeping every state and truncation flag. The
+default run takes under fifteen seconds. Dev-only; not part of the package:
 
     PYTHONPATH=src python tools/kernel_bench.py [--path-steps 2097152]
 """
@@ -36,6 +38,7 @@ KERNELS = {
     "lcm_evolve_x12": (
         lambda dw: lcm_evolve(np.repeat(TABLE4_Y0, len(dw)), dw, TABLE4, S),
         len(TABLE4)),
+    "lcm_evolve_rec": (lambda dw: lcm_evolve(math.log(P.I0), dw, P, S, record=True), 1),
 }
 WIDTHS = (1, 25, 128, 1024, 8192)
 MAX_STEPS = 4096
