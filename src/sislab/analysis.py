@@ -4,12 +4,12 @@ classification, and truncation-frequency tables.
 Everything here is deterministic given (base_seed, n_paths): paths are keyed
 by absolute path index, partial results land in preallocated per-path arrays,
 and reductions run once over those arrays in index order. Each path's stream
-is drawn once, forward in fixed time blocks, and the kernels carry their
-per-row states from block to block, so memory per chunk is bounded by chunk
-times block whatever the horizon. Parameter sets on shared increments
-(truncation_table) run as parameter groups of one kernel call. Only
-lcm_trajectories keeps whole paths: it steps each _CHUNK paths, drawn by
-generate, in one recording kernel call.
+is drawn once, forward in _BLOCK-step time blocks, and stepped in one call
+per step size and time block; the kernels carry their per-row states from
+block to block, so memory per chunk is bounded by chunk times block whatever
+the horizon. Parameter sets on shared increments (truncation_table) step as
+parameter groups of those calls. Only lcm_trajectories keeps whole paths: it
+steps each _CHUNK paths, drawn by generate, in one recording kernel call.
 
 Each experiment's chunk loop is one module-level worker per _CHUNK paths,
 handed that chunk's streams by one walker, _over_chunks. A large run cuts
@@ -98,15 +98,14 @@ def fit_rate(table):
 
 
 _CHUNK = 1024  # paths per chunk, whose streams are drawn and stepped together
-# Steps per time block (a power of two, so it holds whole coarse steps of
-# every dyadic level up to its own length).
+# (truncation_table steps pairs x chunk rows per call, 12 x 1,024 for
+# configs/table4_sets.cfg; at 12 x 8,192 a step's rows no longer fit in cache
+# and cost about 1.8x more per path-step)
+# Steps per time block of every experiment (a power of two, so it holds whole
+# coarse steps of every dyadic level up to its own length). Chunk x block
+# doubles is 32 MB; truncation_table holds one step-major block and one scaled
+# copy, plus the path-major draw while it is transposed.
 _BLOCK = 4096
-# truncation_table steps all (set, I0) pairs of a step size in one call, pairs
-# x chunk rows wide (12 x 1,024 for configs/table4_sets.cfg; at 12 x 8,192
-# rows a step's rows no longer fit in cache and cost about 1.8x more per
-# path-step), and scales a copy of each block per step size, so it steps in
-# short blocks: chunk x block is 32,768 doubles.
-_TRUNCATION_BLOCK = 32
 # Kernel row-steps below which a run stays in this process. Starting a
 # fork-context pool of two workers, feeding it and joining it took 11-15 ms
 # (2-core x86-64, Python 3.11); at the experiments' cheapest 25-30 ns per
@@ -253,8 +252,8 @@ def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
     once, at the largest step count; a step size with fewer steps runs on a
     prefix of those normals, scaled to its step size, which is that step
     size's whole-path draw bit for bit. Every (set, I0) pair is one parameter
-    group of a single lcm_evolve call per step size and time block, so all
-    pairs step together on the same increments.
+    group of the lcm_evolve calls, one call per step size and time block, so
+    all pairs step together on the same increments.
     """
     param_sets = list(param_sets)
     I0s = tuple(float(x) for x in I0s)
@@ -279,17 +278,18 @@ def _truncation_chunk(streams, groups, schemes, steps, horizon):
     counts = np.zeros((len(schemes), len(groups)), dtype=np.int64)
     y0 = np.repeat([math.log(q.I0) for q in groups], len(streams))  # group-major
     states = [y0] * len(schemes)
-    for start in range(0, longest, _TRUNCATION_BLOCK):
+    buf = np.empty((min(_BLOCK, longest), len(streams)))  # as long as any block
+    for start in range(0, longest, _BLOCK):
         # step-major once per block, so that the kernels copy whole rows
-        z = np.ascontiguousarray(
-            streams.normals(min(_TRUNCATION_BLOCK, longest - start)).T)
+        z = np.ascontiguousarray(streams.normals(min(_BLOCK, longest - start)).T)
         for k, (s, n) in enumerate(zip(schemes, steps)):
             if n <= start:
                 continue
-            dw = z[:n - start] * math.sqrt(horizon / n)
+            dw = np.multiply(z[:n - start], math.sqrt(horizon / n), out=buf[:n - start])
             out = lcm_evolve(states[k], dw.T, groups, s)
             states[k] = out.y_final
             counts[k] += out.trunc_counts.reshape(len(groups), -1).sum(axis=1)
+        z = None  # release this block before drawing the next
     return counts
 
 

@@ -210,6 +210,35 @@ class TestTruncationTable:
         assert a.hs == (0.25,)
         assert a.I0s == (10.0, 50.0)
 
+    @pytest.mark.parametrize("block", [7, 32])
+    def test_block_invariant(self, monkeypatch, block):
+        # 10, 20, 40 and 80 steps: coarse step sizes end inside a block and
+        # sit out the blocks after it
+        kw = dict(I0s=[10.0, 90.0], hs=[0.5, 0.25, 2.0**-3, 2.0**-4], n_paths=20,
+                  horizon=5.0, base_seed=41)
+        a = truncation_table([P_SET2, P_PERS], **kw)
+        assert a.percent.any()
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        b = truncation_table([P_SET2, P_PERS], **kw)
+        assert a.percent.tobytes() == b.percent.tobytes()
+
+    def test_one_call_per_step_size_within_a_block(self, monkeypatch):
+        # table4's horizon: 100 to 1,600 steps fit one block, so a chunk steps
+        # each step size in a single kernel call
+        calls = []
+        evolve = analysis.lcm_evolve
+
+        def counting(y0, dw, p, s, record=False):
+            calls.append((s.h, dw.shape))
+            return evolve(y0, dw, p, s, record)
+
+        monkeypatch.setattr(analysis, "lcm_evolve", counting)
+        monkeypatch.setattr(analysis, "_cores", lambda: 1)  # stay in this process
+        hs = [2.0**-k for k in range(1, 6)]
+        truncation_table([P_SET2, P_PERS], I0s=[10.0, 90.0], hs=hs, n_paths=8,
+                         horizon=50.0, base_seed=3)
+        assert calls == [(h, (8, round(50.0 / h))) for h in hs]
+
 
 class TestMilsteinViolationFraction:
     def test_deterministic_and_chunk_invariant(self, monkeypatch):
@@ -323,7 +352,8 @@ class TestFrozenOutputs:
     that drew every path whole before stepping it. Time blocks must not move
     a bit: these runs cross block boundaries (16,384 fine steps with a level
     coarser than a block; 40,960 direct-Milstein steps; 1,600 truncation
-    steps) and every coarser truncation cell reads a prefix of one draw."""
+    steps, run again in 32-step blocks since they fit one default block) and
+    every coarser truncation cell reads a prefix of one draw."""
 
     def test_strong_error(self):
         table = strong_error(P_CONV1, SchemeParams(h=2.0**-13, alpha=0.1, theta=2.0),
@@ -337,10 +367,7 @@ class TestFrozenOutputs:
         assert milstein_violation_fraction(P_EXT, h=2.0**-13, **kw) == 0.3125
         assert milstein_violation_fraction(P_EXT, h=2.0**-2, **kw) == 1.0
 
-    def test_truncation_table(self):
-        tbl = truncation_table([P_SET2, P_PERS, P_EXT], I0s=[10.0, 90.0],
-                               hs=[2.0**-5, 2.0**-3, 2.0**-1], n_paths=24,
-                               horizon=50.0, base_seed=7001)
+    def test_truncation_table(self, monkeypatch):
         expected = [
             0.0, 50.0, 50.0, 0.0, 50.0, 50.0,
             0.0, 0.4895833333333333, 25.958333333333332,
@@ -348,7 +375,12 @@ class TestFrozenOutputs:
             0.0, 0.0, 0.0, 0.11197916666666667, 0.20833333333333334,
             1.8333333333333333,
         ]
-        assert tbl.percent.ravel().tolist() == expected
+        for block in (analysis._BLOCK, 32):
+            monkeypatch.setattr(analysis, "_BLOCK", block)
+            tbl = truncation_table([P_SET2, P_PERS, P_EXT], I0s=[10.0, 90.0],
+                                   hs=[2.0**-5, 2.0**-3, 2.0**-1], n_paths=24,
+                                   horizon=50.0, base_seed=7001)
+            assert tbl.percent.ravel().tolist() == expected
 
 
 class TestLcmTrajectories:
