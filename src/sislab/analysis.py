@@ -8,8 +8,8 @@ is drawn once, forward in _BLOCK-step time blocks, and stepped in one call
 per step size and time block; the kernels carry their per-row states from
 block to block, so memory per chunk is bounded by chunk times block whatever
 the horizon. Parameter sets on shared increments (truncation_table) step as
-parameter groups of those calls. Only lcm_trajectories keeps whole paths: it
-steps each _CHUNK paths, drawn by generate, in one recording kernel call.
+parameter groups of those calls, and dynamics_verdicts keeps of each recorded
+block only the sign changes its verdicts count.
 
 Each experiment's chunk loop is one module-level worker per _CHUNK paths,
 handed that chunk's streams by one walker, _over_chunks. A large run cuts
@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import regime_report
-from .paths import PathStreams, generate
+from .paths import PathStreams
+from .paths import generate  # noqa: F401  perfbench/spans.py wraps it here
 from .schemes import _STEP_RTOL, SchemeParams, lcm_evolve, milstein_evolve
 
 __all__ = [
@@ -41,9 +42,8 @@ __all__ = [
     "RateFit",
     "TruncationTable",
     "classify_dynamics",
-    "count_crossings",
+    "dynamics_verdicts",
     "fit_rate",
-    "lcm_trajectories",
     "milstein_violation_fraction",
     "strong_error",
     "truncation_table",
@@ -261,6 +261,8 @@ def truncation_table(param_sets, I0s, hs, n_paths, horizon, base_seed,
     if labels is None:
         labels = tuple(range(1, len(param_sets) + 1))
     groups = [replace(p0, I0=i0) for p0 in param_sets for i0 in I0s]
+    if not groups:
+        raise ConfigError("truncation_table needs a parameter set and an I0")
     schemes = [SchemeParams(h=h, alpha=alpha, theta=theta) for h in hs]
     steps = [_whole_steps(horizon, h, "horizon") for h in hs]
     counts = sum(_over_chunks(
@@ -293,39 +295,8 @@ def _truncation_chunk(streams, groups, schemes, steps, horizon):
     return counts
 
 
-def lcm_trajectories(params, scheme, t_final, n_paths, base_seed):
-    """Recorded log-space trajectories of paths 0 .. n_paths - 1, yielded as
-    (path_index, Trajectory) in index order.
-
-    Each path's increments come from generate, and each _CHUNK paths step in
-    one recording lcm_evolve call, so every trajectory equals, bit for bit,
-    lcm_simulate on that path's own draw.
-    """
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be positive, got {n_paths!r}")
-    steps = _whole_steps(t_final, scheme.h, "t_final")
-    h = t_final / steps  # the grid's own step, as lcm_simulate times it
-    y0 = math.log(params.I0)
-    for lo in range(0, n_paths, _CHUNK):
-        paths = range(lo, min(lo + _CHUNK, n_paths))
-        dw = np.empty((len(paths), steps))
-        for row, j in enumerate(paths):
-            dw[row] = generate(base_seed, j, t_final, steps).increments
-        out = lcm_evolve(y0, dw, params, scheme, record=True)
-        yield from ((j, out.trajectory(row, h)) for row, j in enumerate(paths))
-
-
-def count_crossings(values, level):
-    """Count strict sign changes of values - level, ignoring exact touches."""
-    d = np.asarray(values, dtype=np.float64) - level
-    d = d[d != 0.0]
-    if d.size < 2:
-        return 0
-    return int(np.sum(d[:-1] * d[1:] < 0.0))
-
-
-# classify_dynamics' decision constants; an extinct run's Lyapunov estimate
-# may fall short of the theoretical decay rate by the fraction _MARGIN
+# the verdicts' decision constants; an extinct run's Lyapunov estimate may
+# fall short of the theoretical decay rate by the fraction _MARGIN
 _MARGIN = 0.5
 _EXTINCTION_FLOOR = 1e-8
 _MIN_CROSSINGS = 3
@@ -340,9 +311,37 @@ class DynamicsVerdict:
     terminal_value: float
 
 
+def _sign_changes(d):
+    """Sign changes down each column of d, exact zeros skipped, and each
+    column's last non-zero sign (0 if none); d is overwritten. A column cut
+    in pieces, each led by the last sign before it, counts the same."""
+    np.sign(d, out=d)
+    for k in np.flatnonzero(~d[1:].all(axis=1)) + 1:  # rows holding a zero
+        np.copyto(d[k], d[k - 1], where=d[k] == 0.0)  # take the sign before it
+    # filled, a column is 0 only before its first sign, so its changes are its
+    # steps between unequal rows less the step from 0, if it has one
+    unequal = np.count_nonzero(d[1:] != d[:-1], axis=0)
+    return unequal - ((d[0] == 0.0) & (d[-1] != 0.0)), d[-1].copy()
+
+
+def _verdict(rep, t_span, log_term, terminal, crossings):
+    """One run's verdict from its last state and its level crossings."""
+    if t_span < _MIN_HORIZON:
+        raise ConfigError(f"horizon {t_span:g} is too short to classify dynamics "
+                          f"(need at least {_MIN_HORIZON:g})")
+    lyap = log_term / t_span
+    kind = "Inconclusive"
+    if rep.f_max_sigma is not None:
+        if lyap <= (1.0 - _MARGIN) * rep.f_max_sigma and terminal < _EXTINCTION_FLOOR:
+            kind = "Extinct"
+    elif rep.persistence_lambda is not None and crossings >= _MIN_CROSSINGS:
+        kind = "Persistent"
+    return DynamicsVerdict(kind, lyap, crossings, terminal)
+
+
 def classify_dynamics(traj, p):
     """Judge one trajectory against the long-run theorem its parameters fall
-    under.
+    under, by the rule dynamics_verdicts streams.
 
     In the extinction regime the test is a Lyapunov estimate log I(T) / T
     within margin of the theoretical rate plus a terminal value below the
@@ -353,33 +352,55 @@ def classify_dynamics(traj, p):
     """
     times = np.asarray(traj.times, dtype=np.float64)
     t_span = float(times[-1] - times[0])
-    if t_span < _MIN_HORIZON:
-        raise ConfigError(
-            f"horizon {t_span:g} is too short to classify dynamics "
-            f"(need at least {_MIN_HORIZON:g})")
     terminal = float(traj.values[-1])
     if traj.log_values is not None:
         log_term = float(traj.log_values[-1])
-    elif terminal > 0.0:
-        log_term = math.log(terminal)
     else:
-        log_term = -math.inf
-    lyap = log_term / t_span
-
+        log_term = math.log(terminal) if terminal > 0.0 else -math.inf
     rep = regime_report(p)
-    kind = "Inconclusive"
     crossings = 0
-    if rep.f_max_sigma is not None:
-        if lyap <= (1.0 - _MARGIN) * rep.f_max_sigma and terminal < _EXTINCTION_FLOOR:
-            kind = "Extinct"
-    elif rep.persistence_lambda is not None:
+    if rep.f_max_sigma is None and rep.persistence_lambda is not None:
         tail = times >= times[0] + 0.5 * t_span
-        crossings = count_crossings(np.asarray(traj.values)[tail],
-                                    rep.persistence_lambda)
-        if crossings >= _MIN_CROSSINGS:
-            kind = "Persistent"
-    return DynamicsVerdict(kind=kind, lyapunov_estimate=lyap,
-                           lambda_crossings=crossings, terminal_value=terminal)
+        d = np.asarray(traj.values, dtype=np.float64)[tail] - rep.persistence_lambda
+        crossings = int(_sign_changes(d[:, None])[0][0])
+    return _verdict(rep, t_span, log_term, terminal, crossings)
+
+
+def dynamics_verdicts(params, scheme, t_final, n_paths, base_seed):
+    """classify_dynamics of paths 0 .. n_paths - 1, in index order, each on
+    lcm_simulate along its generate draw, bit for bit: each chunk steps in
+    _BLOCK-step recordings, of which only the last states and the sign
+    changes in the second half of the run are kept."""
+    steps = _whole_steps(t_final, scheme.h, "t_final")
+    return sum(_over_chunks(_dynamics_chunk, n_paths, base_seed, n_paths * steps,
+                            params, scheme, steps, t_final / steps), [])
+
+
+def _dynamics_chunk(streams, params, scheme, steps, h):
+    """Verdicts of one chunk's paths, on the grid's own step h."""
+    rep = regime_report(params)
+    level = rep.persistence_lambda if rep.f_max_sigma is None else None
+    # the first state k with k h >= steps h / 2, on classify_dynamics' times
+    tail = int(np.searchsorted(np.arange(steps + 1) * h, 0.5 * (steps * h)))
+    y = math.log(params.I0)
+    crossings = np.zeros(len(streams), dtype=np.int64)
+    signs = np.zeros(len(streams))  # each path's last non-zero sign, carried
+    for start in range(0, steps, _BLOCK):
+        n = min(_BLOCK, steps - start)
+        out = lcm_evolve(y, streams.increments(n, h), params, scheme,
+                         record=level is not None)
+        y = out.y_final
+        if level is not None and start + n >= tail:
+            # the block's tail states, in place, led by the carried signs
+            d = out.y_snaps.T[max(tail - start, 1) - 1:]
+            np.exp(d[1:], out=d[1:])
+            d[1:] -= level
+            d[0] = signs
+            counts, signs = _sign_changes(d)
+            crossings += counts
+        out = d = None  # release this block before drawing the next
+    return [_verdict(rep, steps * h, float(yj), float(ij), int(cj))
+            for yj, ij, cj in zip(y, np.exp(y), crossings)]
 
 
 def _num(x):

@@ -22,9 +22,8 @@ from dataclasses import dataclass, replace
 from .analysis import (
     ConfigError,
     _whole_steps,
-    classify_dynamics,
+    dynamics_verdicts,
     fit_rate,
-    lcm_trajectories,
     strong_error,
     truncation_table,
     write_dynamics_summary,
@@ -32,6 +31,7 @@ from .analysis import (
     write_rate_fit,
     write_truncation_table,
 )
+from .analysis import classify_dynamics  # noqa: F401  perfbench/spans.py wraps it here
 from .model import ModelParams, PreconditionError, regime_report
 from .paths import coarsen, generate
 from .schemes import (
@@ -325,13 +325,11 @@ def cmd_dynamics(args):
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     for h in cfg.dyn_step_sizes:
-        trajectories = lcm_trajectories(cfg.model, replace(cfg.scheme, h=h),
-                                        cfg.t_final, n_seeds, seed)
-        rows = [(idx, classify_dynamics(traj, cfg.model))
-                for idx, traj in trajectories]
-        matched = sum(verdict.kind == expected for _, verdict in rows)
+        verdicts = dynamics_verdicts(cfg.model, replace(cfg.scheme, h=h),
+                                     cfg.t_final, n_seeds, seed)
+        matched = sum(verdict.kind == expected for verdict in verdicts)
         with open(os.path.join(outdir, f"dynamics_{_h_label(h)}.csv"), "w") as fh:
-            write_dynamics_summary(rows, fh)
+            write_dynamics_summary(enumerate(verdicts), fh)
         print(f"h = {_format_float(h)}: {matched}/{n_seeds} runs {expected}")
     return 0
 

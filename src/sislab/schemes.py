@@ -96,15 +96,6 @@ class LcmBatch:
     trunc_counts: np.ndarray
     flags: np.ndarray | None
 
-    def trajectory(self, row, h):
-        """Row `row` of a run with record=True, as a Trajectory on a grid of
-        step h."""
-        y = self.y_snaps[row]
-        return Trajectory(times=np.arange(len(y)) * h, values=np.exp(y),
-                          log_values=y,
-                          truncated=np.concatenate([[False], self.flags[row]]),
-                          truncation_count=int(self.trunc_counts[row]))
-
 
 _TILE_DOUBLES = 1 << 16  # doubles in each of a kernel's tile buffers
 _STEP_RTOL = 1e-9  # relative gap within which a grid step counts as the step h
@@ -236,8 +227,11 @@ def lcm_simulate(inc, p, s):
         inc = coarsen(inc, 0)
     if not math.isclose(inc.h, s.h, rel_tol=_STEP_RTOL):
         raise ValueError(f"increment step {inc.h} disagrees with scheme step {s.h}")
-    return lcm_evolve(math.log(p.I0), inc.dW[None, :], p, s,
-                      record=True).trajectory(0, inc.h)
+    out = lcm_evolve(math.log(p.I0), inc.dW[None, :], p, s, record=True)
+    y = out.y_snaps[0]
+    return Trajectory(times=np.arange(len(y)) * inc.h, values=np.exp(y), log_values=y,
+                      truncated=np.concatenate([[False], out.flags[0]]),
+                      truncation_count=int(out.trunc_counts[0]))
 
 
 @dataclass

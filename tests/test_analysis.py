@@ -8,9 +8,15 @@ fit because the published one used unrounded errors.
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sislab import analysis, schemes
 from sislab.model import ModelParams
@@ -21,9 +27,8 @@ from sislab.analysis import (
     ErrorTable,
     RateFit,
     classify_dynamics,
-    count_crossings,
+    dynamics_verdicts,
     fit_rate,
-    lcm_trajectories,
     milstein_violation_fraction,
     strong_error,
     truncation_table,
@@ -32,6 +37,11 @@ from sislab.analysis import (
     write_rate_fit,
     write_truncation_table,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+# numpy's float64 exp rounds some results 1 ulp apart on its AVX-512 loop and
+# on its baseline loop, so frozen floats are recorded once for each loop
+AVX512_EXP = np._core._multiarray_umath.__cpu_features__["AVX512_SKX"]
 
 P_CONV1 = ModelParams(N=10, beta=0.5, sigma=0.2, mu_plus_gamma=4.0, I0=1.0)
 P_EXT = ModelParams(N=100, beta=0.42, sigma=0.9, mu_plus_gamma=10.0, I0=90.0)
@@ -124,24 +134,51 @@ class TestStrongError:
                          n_paths=4, base_seed=0, t_final=1.0)
 
 
-class TestCountCrossings:
+def sign_changes(values, level):
+    d = (np.asarray(values, dtype=np.float64) - level)[:, None]
+    return int(analysis._sign_changes(d)[0][0])
+
+
+class TestSignChanges:
     def test_constant_sequence(self):
         lam = 32.958789676530359
-        assert count_crossings(np.full(100, lam), lam) == 0
+        assert sign_changes(np.full(100, lam), lam) == 0
 
     def test_alternating_sequence(self):
         v = np.array([1.0, 3.0, 1.0, 3.0, 1.0])
-        assert count_crossings(v, 2.0) == 4
+        assert sign_changes(v, 2.0) == 4
 
     def test_touch_without_crossing(self):
         v = np.array([1.0, 2.0, 1.0, 2.0, 1.0])
-        assert count_crossings(v, 2.0) == 0  # touching the level is not a crossing
+        assert sign_changes(v, 2.0) == 0  # touching the level is not a crossing
 
     def test_reversal_symmetry(self):
         rng = np.random.default_rng(123)
         for _ in range(20):
             v = rng.normal(0.0, 1.0, size=rng.integers(2, 400))
-            assert count_crossings(v, 0.1) == count_crossings(v[::-1], 0.1)
+            assert sign_changes(v, 0.1) == sign_changes(v[::-1], 0.1)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.0, 1e-300, 4.0]),
+                             min_size=3, max_size=3), min_size=1, max_size=40),
+           st.lists(st.integers(0, 40), max_size=6))
+    def test_pieces_carried_equal_whole(self, rows, cuts):
+        # each column counted whole, and counted in pieces cut at arbitrary
+        # rows, each piece led by the last non-zero sign carried from before
+        seq = np.array(rows)
+        whole = analysis._sign_changes(seq.copy())[0]
+        for col, count in zip(seq.T, whole):
+            nz = np.sign(col[col != 0.0])
+            assert count == np.count_nonzero(nz[1:] != nz[:-1])
+        total = np.zeros(3, dtype=np.int64)
+        carry = np.zeros(3)
+        bounds = sorted({0, len(seq), *(min(c, len(seq)) for c in cuts)})
+        for lo, hi in zip(bounds, bounds[1:]):
+            counts, carry = analysis._sign_changes(np.vstack([carry, seq[lo:hi]]))
+            total += counts
+        assert total.tolist() == whole.tolist()
+        assert carry.tolist() == [next((np.sign(x) for x in col[::-1] if x), 0.0)
+                                  for col in seq.T]
 
 
 class TestClassifyDynamics:
@@ -209,6 +246,13 @@ class TestTruncationTable:
         np.testing.assert_array_equal(a.percent, b.percent)
         assert a.hs == (0.25,)
         assert a.I0s == (10.0, 50.0)
+
+    @pytest.mark.parametrize("sets, i0s", [([], [10.0]), ([P_EXT], [])],
+                             ids=["no-sets", "no-I0s"])
+    def test_empty_inputs_rejected(self, sets, i0s):
+        with pytest.raises(ConfigError, match="parameter set and an I0"):
+            truncation_table(sets, I0s=i0s, hs=[0.5], n_paths=4, horizon=5.0,
+                             base_seed=3)
 
     @pytest.mark.parametrize("block", [7, 32])
     def test_block_invariant(self, monkeypatch, block):
@@ -317,6 +361,15 @@ class TestShardedRuns:
         assert submitted == [(0, 8), (8, 16), (16, 24)]
         assert a == b == 5 / 24
 
+    def test_dynamics_verdicts(self, submitted, monkeypatch):
+        # 30 persistence paths: 2 ranges of 15 in chunks of 7
+        s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
+        a = dynamics_verdicts(P_PERS, s, 50.0, 30, base_seed=5001)
+        assert submitted == []
+        self.shard(monkeypatch, 2, chunk=7)
+        assert dynamics_verdicts(P_PERS, s, 50.0, 30, base_seed=5001) == a
+        assert submitted == [(0, 15), (15, 30)]
+
     def test_no_more_ranges_than_paths(self, submitted, monkeypatch):
         kw = dict(h=2.0**-2, t_final=5.0, n_paths=2, base_seed=606)
         a = milstein_violation_fraction(P_EXT, **kw)
@@ -353,13 +406,40 @@ class TestFrozenOutputs:
     a bit: these runs cross block boundaries (16,384 fine steps with a level
     coarser than a block; 40,960 direct-Milstein steps; 1,600 truncation
     steps, run again in 32-step blocks since they fit one default block) and
-    every coarser truncation cell reads a prefix of one draw."""
+    every coarser truncation cell reads a prefix of one draw. Floats that
+    pass through np.exp have one value per exp loop of numpy (AVX512_EXP);
+    the baseline loop's were recorded with the AVX-512 loops switched off."""
+
+    # the frozen tests whose values depend on the exp loop
+    EXP_DEPENDENT = [
+        "tests/test_analysis.py::TestFrozenOutputs::test_strong_error",
+        "tests/test_cli.py::TestDynamics::test_persistence_summaries_are_frozen",
+    ]
+
+    def test_exp_dependent_values_hold_on_baseline_loop(self):
+        # rerun them where numpy cannot take its AVX-512 loops, so that both
+        # sets stay checked on a host that has them
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import numpy as np; print(np._core."
+             "_multiarray_umath.__cpu_features__['AVX512_SKX'])"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert probe.stdout.strip() == "False", probe.stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *self.EXP_DEPENDENT], cwd=ROOT, capture_output=True, text=True,
+            timeout=300, env=env)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "3 passed" in proc.stdout
 
     def test_strong_error(self):
         table = strong_error(P_CONV1, SchemeParams(h=2.0**-13, alpha=0.1, theta=2.0),
                              levels=[2.0**-11, 2.0**-6, 2.0**-1, 1.0], n_paths=12,
                              base_seed=2468, t_final=2.0)
-        assert table.errors == (0.0003172310466385858, 0.006434884076443843,
+        first = 0.0003172310466385858 if AVX512_EXP else 0.00031723104663858537
+        assert table.errors == (first, 0.006434884076443843,
                                 0.23770991358805663, 1.0797136722337484)
 
     def test_milstein_violation_fraction(self):
@@ -383,43 +463,42 @@ class TestFrozenOutputs:
             assert tbl.percent.ravel().tolist() == expected
 
 
-class TestLcmTrajectories:
+class TestDynamicsVerdicts:
     @pytest.mark.parametrize("p, t_final, small", [
         (P_PERS, 50.0, False), (P_EXT, 5.0, False), (P_PERS, 50.0, True),
         (P_EXT, 5.0, True)], ids=["p0-50.0", "p1-5.0", "p0-50.0-small", "p1-5.0-small"])
     def test_rows_equal_per_path_runs(self, monkeypatch, p, t_final, small):
-        # each row must equal lcm_simulate on the path's own draw, and classify
-        # the same; small budgets put a call boundary (16-path chunks) inside
+        # each row must equal classify_dynamics on lcm_simulate along the
+        # path's own draw; small budgets put a chunk boundary (16 paths) inside
         # these 30 paths, and tile boundaries (64 steps at 16 rows) inside the
-        # 200-step runs
+        # 200-step recordings
         if small:
             monkeypatch.setattr(analysis, "_CHUNK", 16)
             monkeypatch.setattr(schemes, "_TILE_DOUBLES", 1 << 10)
         s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
         steps = round(t_final / s.h)
-        rows = list(lcm_trajectories(p, s, t_final, 30, base_seed=5001))
-        assert [j for j, _ in rows] == list(range(30))
-        for j, traj in rows:
+        verdicts = dynamics_verdicts(p, s, t_final, 30, base_seed=5001)
+        assert len(verdicts) == 30
+        for j, verdict in enumerate(verdicts):
             grid = generate(base_seed=5001, path_index=j, t_final=t_final,
                             fine_steps=steps)
-            ref = lcm_simulate(coarsen(grid, 0), p, s)
-            for field in ("times", "values", "log_values", "truncated"):
-                np.testing.assert_array_equal(getattr(traj, field),
-                                              getattr(ref, field))
-            assert traj.truncation_count == ref.truncation_count
-            assert classify_dynamics(traj, p) == classify_dynamics(ref, p)
+            assert verdict == classify_dynamics(lcm_simulate(coarsen(grid, 0), p, s), p)
 
     def test_horizon_not_whole_steps_rejected(self):
         with pytest.raises(ValueError):
-            list(lcm_trajectories(P_PERS, SchemeParams(h=0.3, alpha=0.1, theta=2.0),
-                                  1.0, 2, base_seed=1))
+            dynamics_verdicts(P_PERS, SchemeParams(h=0.3, alpha=0.1, theta=2.0),
+                              1.0, 2, base_seed=1)
+
+    def test_short_horizon_rejected(self):
+        with pytest.raises(ConfigError, match="too short"):
+            dynamics_verdicts(P_PERS, SchemeParams(h=0.25, alpha=0.1, theta=2.0),
+                              0.5, 2, base_seed=1)
 
     @pytest.mark.parametrize("n_paths", [0, -3])
     def test_non_positive_paths_rejected(self, n_paths):
-        runs = lcm_trajectories(P_PERS, SchemeParams(h=0.25, alpha=0.1, theta=2.0),
-                                5.0, n_paths, base_seed=1)
         with pytest.raises(ConfigError, match="n_paths must be positive"):
-            next(runs)
+            dynamics_verdicts(P_PERS, SchemeParams(h=0.25, alpha=0.1, theta=2.0),
+                              5.0, n_paths, base_seed=1)
 
 
 class TestCsvWriters:

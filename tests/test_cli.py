@@ -13,12 +13,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sislab import analysis
 from sislab.cli import ConfigError, main, parse_config, serialize_config
 
 ROOT = Path(__file__).resolve().parents[1]
+# numpy's float64 exp rounds some results 1 ulp apart on its AVX-512 loop and
+# on its baseline loop, so frozen outputs are recorded once for each loop
+AVX512_EXP = np._core._multiarray_umath.__cpu_features__["AVX512_SKX"]
 
 BASE_CFG = """\
 [model]
@@ -478,20 +482,56 @@ class TestDynamics:
     @pytest.mark.parametrize("cached", [True, False])
     def test_persistence_summaries_are_frozen(self, tmp_path, monkeypatch, cached):
         # sha256 of the summaries recorded from the code that stepped 25 paths
-        # per recording call and reran regime_report for every trajectory;
-        # neither the cached report nor wider calls may move a byte
+        # per recording call and reran regime_report for every trajectory
+        # (the baseline exp loop's from the code that streams them in blocks);
+        # neither the cached report nor streaming may move a byte
         if not cached:
             monkeypatch.setattr(analysis, "regime_report",
                                 analysis.regime_report.__wrapped__)
         expected = {
             "2m2": "765e7db39d783b359994e79c215daec645fca83dc157c78b0d474c451b240ef5",
             "2m1": "5ea58d4074b06bbb011de9afb6bd543140019d806a6d5ca06b3dc167aff99e34",
+        } if AVX512_EXP else {
+            "2m2": "b9bf3af0069c7f81bd8ce71d58b830c0775f6364d9b10eb17ba628c0916423df",
+            "2m1": "261dced899c0e67e3945567ad30af3c61111c447a0a7dc990b9be37b417a062d",
         }
         out = tmp_path / "dyn"
         assert main(["dynamics", "--config", str(ROOT / "configs" / "ex5_4.cfg"),
                      "--out", str(out), "--paths", "30"]) == 0
         assert {label: hashlib.sha256((out / f"dynamics_{label}.csv").read_bytes())
                 .hexdigest() for label in expected} == expected
+
+    def test_time_blocks_do_not_move_a_byte(self, tmp_path, monkeypatch):
+        # in 7-step blocks the second half starts on a block's first new state
+        # at h = 2^-2 (state 400) and inside a block at h = 2^-1 (state 200),
+        # and each path's last sign carries across 57 or 29 block boundaries
+        blobs = []
+        for name, block in (("default", analysis._BLOCK), ("b7", 7)):
+            monkeypatch.setattr(analysis, "_BLOCK", block)
+            out = tmp_path / name
+            assert main(["dynamics", "--config", str(ROOT / "configs" / "ex5_4.cfg"),
+                         "--out", str(out), "--paths", "30"]) == 0
+            blobs.append([(out / f"dynamics_{label}.csv").read_bytes()
+                          for label in ("2m2", "2m1")])
+        assert blobs[0] == blobs[1]
+
+    def test_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        # ex5_4's parameters at T = 2,000 and h = 2^-6: 100 seeds x 128,000
+        # steps, which whole recorded paths would hold in 247 MB; streamed in
+        # time blocks, the process and its workers each peak near 40 MB
+        text = (ROOT / "configs" / "ex5_4.cfg").read_text().split("[run]")[0]
+        path = write_cfg(tmp_path, text + "[run]\nt_final = 2000\nn_paths = 100\n"
+                         "base_seed = 5001\n\n[dynamics]\nstep_sizes = 2^-6\n"
+                         "n_seeds = 100\n")
+        argv = ["dynamics", "--config", path, "--out", str(tmp_path / "o")]
+        proc = run_python("import resource\n"
+                          "from sislab.cli import main\n"
+                          f"assert main({argv!r}) == 0\n"
+                          "print(max(resource.getrusage(who).ru_maxrss for who in\n"
+                          "          (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))\n")
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+        assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
 
 
 class TestTruncation:

@@ -8,7 +8,8 @@ lcm_evolve_x12 column steps the 12 (set, I0) pairs of
 configs/table4_sets.cfg as parameter groups of one call on the same
 increments, as truncation_table does: 12 x width rows, counted per row. The
 lcm_evolve_rec column is lcm_evolve with record=True on the same dw, as
-lcm_trajectories steps, keeping every state and truncation flag. The
+dynamics_verdicts steps its time blocks, keeping every state and truncation
+flag. The
 default run takes under fifteen seconds. Dev-only; not part of the package:
 
     PYTHONPATH=src python tools/kernel_bench.py [--path-steps 2097152]
