@@ -103,8 +103,9 @@ _CHUNK = 1024  # paths per chunk, whose streams are drawn and stepped together
 # and cost about 1.8x more per path-step)
 # Steps per time block of every experiment (a power of two, so it holds whole
 # coarse steps of every dyadic level up to its own length). Chunk x block
-# doubles is 32 MB; truncation_table holds one step-major block and one scaled
-# copy, plus the path-major draw while it is transposed.
+# doubles is 33.5 MB, and a chunk may hold several: truncation_table a block,
+# a scaled copy and, while transposing, the draw; a recording dynamics_verdicts
+# chunk a block and its recording (1,024 seeds peak at 106 MB in one process).
 _BLOCK = 4096
 # Kernel row-steps below which a run stays in this process. Starting a
 # fork-context pool of two workers, feeding it and joining it took 11-15 ms

@@ -62,6 +62,16 @@ class ModelParams:
             raise ValueError("mu_plus_gamma must be positive")
         if not 0.0 < self.I0 < self.N:
             raise ValueError("I0 must lie in (0, N)")
+        # the constants the kernels and reproduction_numbers form, as float
+        # products, which give inf where ** raises OverflowError
+        s2, n, mg = self.sigma * self.sigma, self.N, self.mu_plus_gamma
+        r0d = self.beta * n / mg
+        c0 = self.beta * n - mg - 0.5 * s2 * n * n
+        if not all(map(math.isfinite, (s2, s2 * n, s2 * n * n, self.beta * n, c0,
+                                       self.beta * self.beta, r0d,
+                                       r0d - s2 * (n * n) / (2.0 * mg)))):
+            raise ValueError("a constant derived from N, beta, sigma and "
+                             "mu_plus_gamma overflows float64")
 
 
 class ExtinctionCase(enum.Enum):

@@ -260,44 +260,47 @@ def milstein_evolve(i0, dw, h, p, record=False):
     step and resumed from i_final equals one call bit for bit once the
     violated and exploded flags of its parts are OR-ed together.
 
-    Each step is 16 in-place binary operations, in the order of
-    drift_original and diffusion_original; dZeta, the domain check and the
+    Each step is 8 ufunc calls on stacked rows, with the operands and order
+    of drift_original and diffusion_original; dZeta, the domain check and the
     NaN freeze run once per tile of steps. The freeze may wait because no
     sum, difference or product of a non-finite operand is finite.
     """
     dw = np.asarray(dw, dtype=np.float64)
     n_paths = len(dw)
     violated = np.zeros(n_paths, dtype=bool)
-    ai, bi, tmp = np.empty((3, n_paths))
     # c = beta N - (mu + gamma), formed as drift_original forms it; each
     # constant is a full row, as a Python-float operand costs more per call
-    beta, c, sigma, big_n, two, step = (
-        np.full(n_paths, v, dtype=np.float64)
-        for v in (p.beta, p.beta * p.N - p.mu_plus_gamma, p.sigma, p.N, 2.0, h))
+    scale, cnn = (np.repeat(np.array(v)[:, None], n_paths, axis=1)
+                  for v in ((p.beta, 1.0, 2.0, 1.0, p.sigma),
+                            (p.beta * p.N - p.mu_plus_gamma, p.N, p.N)))
+    x = np.empty((6, n_paths))
+    x[5] = p.sigma
+    y, ab = np.empty((2, 3, n_paths))
+    x5, x3, x36, (ah, bw, bbz) = x[:5], x[:3], x[3:], ab
+    # each step's h, dW and dZeta as one operand, filled per tile
+    hwz = np.empty((_tile_steps(n_paths, dw.shape[1]), 3, n_paths))
+    hwz[:, 0] = h
+    views = []
     # ufuncs with the output as third argument, cheaper to call than out=
     mul, sub, add = np.multiply, np.subtract, np.add
 
     def step_tile(k, states, w, z):
         new = states[1:]
-        for I, nxt, dw_k, dz_k in zip(states, new, w, z):
-            # a = I (c - beta I), b = sigma I (N - I), b' = sigma (N - 2 I);
-            # I + a h + b dW + b b' dZeta
-            mul(beta, I, ai)
-            sub(c, ai, ai)
-            mul(I, ai, ai)
-            mul(sigma, I, bi)
-            sub(big_n, I, tmp)
-            mul(bi, tmp, bi)
-            mul(two, I, tmp)
-            sub(big_n, tmp, tmp)
-            mul(sigma, tmp, tmp)
-            mul(ai, step, ai)
-            add(I, ai, nxt)
-            mul(bi, dw_k, ai)
-            add(nxt, ai, nxt)
-            mul(bi, tmp, bi)
-            mul(bi, dz_k, bi)
-            add(nxt, bi, nxt)
+        hwz[:len(w), 1], hwz[:len(w), 2] = w, z
+        if record or not views:  # without record every tile steps the same rows
+            views[:] = zip(states, new, hwz)
+        for I, nxt, m in views[:len(w)]:
+            # x = beta I, I, 2 I, I, sigma I, sigma (I twice: x[:3] and x[3:] are
+            # one operand each); ab = a = I (c - beta I), b = (sigma I) (N - I) and
+            # b b' with b' = sigma (N - 2 I), then a h, b dW and b b' dZeta
+            mul(scale, I, x5)
+            sub(cnn, x3, y)
+            mul(x36, y, ab)
+            mul(bw, bbz, bbz)
+            mul(ab, m, ab)
+            add(I, ah, nxt)
+            add(nxt, bw, nxt)
+            add(nxt, bbz, nxt)
         violated[...] |= ~((new >= 0.0) & (new <= p.N)).all(axis=0)  # NaN flags too
         np.copyto(new, np.nan, where=~np.isfinite(new))
 

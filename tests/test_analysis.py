@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sislab import analysis, schemes
-from sislab.model import ModelParams
+from sislab.model import ModelParams, persistence_alpha_bound
 from sislab.paths import coarsen, generate
 from sislab.schemes import SchemeParams, Trajectory, lcm_simulate
 from sislab.analysis import (
@@ -483,6 +483,26 @@ class TestDynamicsVerdicts:
             grid = generate(base_seed=5001, path_index=j, t_final=t_final,
                             fine_steps=steps)
             assert verdict == classify_dynamics(lcm_simulate(coarsen(grid, 0), p, s), p)
+
+    def test_dynamics_preserved_past_half_step(self):
+        # the paper's "any h > 0", past criteria 4 and 5's h = 2^-1: at h = 2^0
+        # .. 2^4 the persistence set stays Persistent at 0.9 x
+        # persistence_alpha_bound; at 1.1 x the bound (an alpha <= 1 from h = 2^1)
+        # paths sit at the reset value, none Persistent from h = 2^2 on (22 of
+        # 100 still are at 2^1); the extinction set dies out at every h
+        for e in range(5):
+            h = 2.0**e
+            bound = persistence_alpha_bound(P_PERS, h, 2.0)
+            below = SchemeParams(h=h, alpha=0.9 * bound, theta=2.0)
+            verdicts = dynamics_verdicts(P_PERS, below, 256.0, 100, base_seed=5001)
+            assert sum(v.kind == "Persistent" for v in verdicts) >= 95, h
+            if e >= 2:
+                above = SchemeParams(h=h, alpha=1.1 * bound, theta=2.0)
+                verdicts = dynamics_verdicts(P_PERS, above, 256.0, 100, base_seed=5001)
+                assert not any(v.kind == "Persistent" for v in verdicts), h
+            s = SchemeParams(h=h, alpha=0.1, theta=2.0)
+            verdicts = dynamics_verdicts(P_EXT, s, 256.0, 100, base_seed=4001)
+            assert sum(v.kind == "Extinct" for v in verdicts) >= 95, h
 
     def test_horizon_not_whole_steps_rejected(self):
         with pytest.raises(ValueError):

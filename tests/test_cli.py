@@ -315,6 +315,11 @@ class TestCliErrors:
          "too short to classify"),
         ("truncation", TRUNC_CFG.replace("I0 = 10 50", "I0 = 10 150"),
          "truncation.I0: I0 must lie in (0, N)"),
+        # float64 cannot hold sigma^2 N^2 or sigma^2: simulate wrote NaN with
+        # exit 0, and dynamics exited 1 on reproduction_numbers' OverflowError
+        *((command, DYN_EXT_CFG.replace(old, new), "model: a constant derived")
+          for command in ("simulate", "dynamics")
+          for old, new in (("N = 100", "N = 1e155"), ("sigma = 0.9", "sigma = 1e200"))),
     ])
     def test_config_value_errors_are_config_errors(self, tmp_path, capsys, command,
                                                    text, message):

@@ -52,6 +52,18 @@ class TestModelParams:
             with pytest.raises(ValueError):
                 ModelParams(N=10, beta=0.5, sigma=0.2, mu_plus_gamma=4.0, I0=bad)
 
+    @pytest.mark.parametrize("N, sigma", [(1e155, 1.0), (100.0, 1e200), (math.inf, 1.0)])
+    def test_rejects_constants_float64_cannot_hold(self, N, sigma):
+        # sigma^2 N^2 overflows at N = 1e155 and sigma^2 at sigma = 1e200, where
+        # reproduction_numbers' ** would raise OverflowError
+        with pytest.raises(ValueError, match="overflows float64"):
+            ModelParams(N=N, beta=0.6, sigma=sigma, mu_plus_gamma=40.0, I0=10.0)
+
+    def test_accepts_large_finite_constants(self):
+        # sigma^2 N^2 = 1e300 still fits, and reproduction_numbers stays finite
+        p = ModelParams(N=1e150, beta=0.6, sigma=1.0, mu_plus_gamma=40.0, I0=10.0)
+        assert all(map(math.isfinite, reproduction_numbers(p)))
+
 
 class TestOriginalCoefficients:
     def test_drift_absorbing_at_zero(self):

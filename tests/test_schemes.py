@@ -556,7 +556,9 @@ class TestMilsteinEvolveTiles:
             i0[1:6] = [np.nan, np.inf, -np.inf, 0.0, -1.0]
         return i0, dw, h
 
-    @pytest.mark.parametrize("width", [1, 7, 128])
+    # 64 and 500 rows are the worker widths of the benchmark's violation run
+    # and of acceptance criterion 6
+    @pytest.mark.parametrize("width", [1, 7, 64, 128, 500])
     @pytest.mark.parametrize("kind", ["one", "tile-1", "tile", "tile+1", "ragged"])
     def test_matches_per_step_reference(self, monkeypatch, width, kind):
         monkeypatch.setattr(schemes, "_TILE_DOUBLES", self.BUDGET)

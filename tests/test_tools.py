@@ -46,5 +46,6 @@ def test_kernel_bench_runs_small():
     assert header.split()[2:4] == ["lcm_evolve", "milstein_evolve"]
     assert header.split()[4:6] == ["lcm_evolve_x12", "lcm_evolve_rec"]
     assert [row.split()[:2] for row in rows] == [
-        ["1", "64"], ["25", "2"], ["128", "1"], ["1024", "1"], ["8192", "1"]]
+        ["1", "64"], ["25", "2"], ["64", "1"], ["128", "1"], ["512", "1"], ["1024", "1"],
+        ["8192", "1"]]
     assert all(float(cell) > 0.0 for row in rows for cell in row.split()[2:])

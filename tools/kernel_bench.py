@@ -41,7 +41,7 @@ KERNELS = {
         len(TABLE4)),
     "lcm_evolve_rec": (lambda dw: lcm_evolve(math.log(P.I0), dw, P, S, record=True), 1),
 }
-WIDTHS = (1, 25, 128, 1024, 8192)
+WIDTHS = (1, 25, 64, 128, 512, 1024, 8192)
 MAX_STEPS = 4096
 
 
