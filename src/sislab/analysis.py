@@ -213,7 +213,9 @@ def _strong_error_chunk(streams, params, scheme_ref, schemes, ratios,
 
 def milstein_violation_fraction(params, h, t_final, n_paths, base_seed):
     """Fraction of direct-Milstein paths that ever produce a forbidden state
-    (negative, above N, or non-finite) before t_final."""
+    (negative, above N, or non-finite) before t_final. A chunk stops once each
+    of its paths is violated or at exactly 0, a fixed point of the direct map
+    inside [0, N], so the flags are those of the whole horizon, bit for bit."""
     steps = _whole_steps(t_final, float(h), "t_final")
     violated = np.concatenate(_over_chunks(
         _violation_chunk, n_paths, base_seed, n_paths * steps, params, float(h),
@@ -230,6 +232,10 @@ def _violation_chunk(streams, params, h, t_final, steps):
         out = milstein_evolve(state, dw, h, params)
         state = out.i_final
         violated |= out.violated
+        # a, b and b b' vanish at +-0 (c, sigma N and N are finite), so a
+        # settled path can change neither its state nor its flag
+        if (violated | (state == 0.0)).all():
+            break
     return violated
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, PreconditionError
 from .model import log_coeffs  # noqa: F401  perfbench/spans.py wraps it here
 from .paths import BrownianGrid, coarsen
 
@@ -150,7 +150,8 @@ def lcm_evolve(y0, dw, p, s, record=False):
     otherwise both are None.
     A run split at any step and resumed from y_final equals one call bit for
     bit (trunc_counts add up), so callers may feed increments in time blocks.
-    Non-finite start states or increments raise ValueError.
+    Non-finite start states or increments raise ValueError, and a state that
+    leaves float64 raises PreconditionError naming its row and step.
 
     Each step is np.exp plus log_coeffs' operations, in its order and
     grouping, and the Milstein update ((y + f h) + g dW) + g g' dZeta, each a
@@ -187,6 +188,7 @@ def lcm_evolve(y0, dw, p, s, record=False):
     hit_rows = np.empty((steps if record else _tile_steps(n_rows, steps), n_rows), bool)
     # ufuncs with the output as third argument, cheaper to call than out=
     exp, mul, add, sub, ge = np.exp, np.multiply, np.add, np.subtract, np.greater_equal
+    done = [0]  # steps of the tiles before this one
 
     def step_tile(k, states, w, z):
         hits = hit_rows[k:k + len(w)]
@@ -212,8 +214,15 @@ def lcm_evolve(y0, dw, p, s, record=False):
             ge(nxt, log_n, hit)
             np.copyto(nxt, reset, where=hit)
         counts[...] += hits.sum(axis=0)
+        # -inf and NaN persist, +inf is reset: the last states show every bad row
+        if not np.isfinite(states[-1]).all():
+            row = np.flatnonzero(~np.isfinite(states[-1]))[0]
+            at = done[0] + np.argmin(np.isfinite(states[:, row]))
+            raise PreconditionError(f"Y is not finite on row {row} from step {at} on")
+        done[0] += len(w)
 
-    snaps, final = _walk_tiles(start, dw, s.h, len(groups), record, step_tile)
+    with np.errstate(over="ignore", invalid="ignore"):  # step_tile raises on them
+        snaps, final = _walk_tiles(start, dw, s.h, len(groups), record, step_tile)
     return LcmBatch(y_snaps=snaps, y_final=final, trunc_counts=counts,
                     flags=hit_rows.T if record else None)
 

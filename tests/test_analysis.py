@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from sislab import analysis, schemes
 from sislab.model import ModelParams, persistence_alpha_bound
-from sislab.paths import coarsen, generate
-from sislab.schemes import SchemeParams, Trajectory, lcm_simulate
+from sislab.paths import PathStreams, coarsen, generate
+from sislab.schemes import SchemeParams, Trajectory, lcm_simulate, milstein_evolve
 from sislab.analysis import (
     ConfigError,
     ErrorTable,
@@ -292,6 +292,74 @@ class TestMilsteinViolationFraction:
         monkeypatch.setattr(analysis, "_CHUNK", 5)
         b = milstein_violation_fraction(P_EXT, **kw)
         assert a == b == 5 / 24
+
+    @pytest.fixture
+    def evolve_calls(self, monkeypatch):
+        """The increment shapes of this process's milstein_evolve calls."""
+        calls = []
+        evolve = analysis.milstein_evolve
+
+        def counting(i0, dw, h, p):
+            calls.append(dw.shape)
+            return evolve(i0, dw, h, p)
+
+        monkeypatch.setattr(analysis, "milstein_evolve", counting)
+        return calls
+
+    @staticmethod
+    def full_horizon(p, h, t_final, n_paths, base_seed):
+        """Violated flags of paths 0 .. n_paths - 1, each stepped to t_final in
+        _BLOCK-step calls, and the number of calls after which every path was
+        violated or exactly 0 (all of them if that never held)."""
+        steps = round(t_final / h)
+        streams = PathStreams(base_seed, 0, n_paths)
+        violated = np.zeros(n_paths, dtype=bool)
+        state, settled = p.I0, None
+        for k, start in enumerate(range(0, steps, analysis._BLOCK), 1):
+            out = milstein_evolve(state, streams.increments(
+                min(analysis._BLOCK, steps - start), t_final / steps), h, p)
+            state, violated = out.i_final, violated | out.violated
+            if settled is None and (violated | (state == 0.0)).all():
+                settled = k
+        return violated, settled or k
+
+    # criterion 6's set dies out, so its paths settle (violated, or exactly 0)
+    # long before t_final at these step sizes
+    @pytest.mark.parametrize("h, n_paths, t_final, seeds", [
+        (2.0**-13, 24, 1.0, (31, 606, 9091)),
+        (2.0**-15, 64, 5.0, (606, 1)),
+    ], ids=["2^-13", "2^-15"])
+    def test_settled_chunks_stop_with_the_full_horizon_flags(
+            self, monkeypatch, evolve_calls, h, n_paths, t_final, seeds):
+        kw = dict(h=h, t_final=t_final, n_paths=n_paths)
+        for seed in seeds:
+            ref, settled = self.full_horizon(P_EXT, base_seed=seed, **kw)
+            evolve_calls.clear()
+            flags = analysis._violation_chunk(PathStreams(seed, 0, n_paths), P_EXT,
+                                              h, t_final, round(t_final / h))
+            np.testing.assert_array_equal(flags, ref)
+            assert len(evolve_calls) == settled  # stopped at the first chance
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "_cores", lambda: 1)
+                assert milstein_violation_fraction(P_EXT, base_seed=seed, **kw) \
+                    == ref.mean()
+            with monkeypatch.context() as m:  # 3 ranges in chunks of 5
+                TestShardedRuns.shard(m, 3, chunk=5)
+                assert milstein_violation_fraction(P_EXT, base_seed=seed, **kw) \
+                    == ref.mean()
+
+    @pytest.mark.parametrize("p, blocks", [(P_EXT, range(1, 40)), (P_PERS, [40])],
+                             ids=["dies-out", "persists"])
+    def test_stepping_stops_once_every_path_settles(self, monkeypatch, evolve_calls,
+                                                    p, blocks):
+        # 163,840 steps are 40 blocks; P_PERS paths never reach 0 or leave
+        # (0, N) at h = 2^-15, so they step every block
+        monkeypatch.setattr(analysis, "_cores", lambda: 1)
+        frac = milstein_violation_fraction(p, h=2.0**-15, t_final=5.0, n_paths=64,
+                                           base_seed=606)
+        assert len(evolve_calls) in blocks
+        assert evolve_calls == [(64, analysis._BLOCK)] * len(evolve_calls)
+        assert frac == 0.0
 
 
 class TestShardedRuns:

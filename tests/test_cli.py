@@ -95,6 +95,31 @@ step_sizes = 2^-2
 n_seeds = 4
 """
 
+# each LCM step adds about c0 h = -5e305 to Y, which passes the most
+# negative double at step 343 (the finite constants pass ModelParams' checks)
+HUGE_DRIFT_CFG = """\
+[model]
+N = 1e150
+beta = 0.6
+sigma = 1
+mu_plus_gamma = 40
+I0 = 10
+
+[scheme]
+h = 2^20
+alpha = 0.1
+theta = 2
+
+[run]
+t_final = 2^29
+n_paths = 2
+base_seed = 3
+
+[convergence]
+levels = 2^20 2^21
+h_reference = 2^20
+"""
+
 TRUNC_CFG = """\
 [model]
 N = 100
@@ -371,6 +396,19 @@ class TestCliErrors:
         assert "_RemoteTraceback" in proc.stderr  # raised in a worker
         assert "ValueError: injected fault" in proc.stderr
         assert "config error" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_state_leaving_float64_is_precondition_error(self, tmp_path, capsys,
+                                                         command):
+        # Y reached -inf with exit 0 (simulate wrote I = 0, Y = -inf rows)
+        path = write_cfg(tmp_path, HUGE_DRIFT_CFG)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error: ")
+        assert "row 0 from step 343 on" in err
+        assert "Traceback" not in err
+        assert not (out / "error_table.csv").exists()
 
     def test_gap_regime_dynamics_is_precondition_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DYN_GAP_CFG)

@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sislab import schemes
-from sislab.model import ModelParams, diffusion_original, drift_original, log_coeffs
+from sislab.model import (
+    ModelParams,
+    PreconditionError,
+    diffusion_original,
+    drift_original,
+    log_coeffs,
+)
 from sislab.paths import LevyIncrements, coarsen, generate
 from sislab.schemes import (
     SchemeParams,
@@ -479,6 +485,27 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             lcm_evolve(np.array([0.0, np.nan]), np.zeros((2, 3)), P_CONV1, self.S)
 
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("budget", [None, 1 << 8])  # 400 steps in one tile or 10
+    def test_lcm_state_leaving_float64_is_precondition_error(self, monkeypatch,
+                                                            record, budget):
+        # each step adds about c0 h = -5e305 to Y, which passes the most
+        # negative double at step 343, inside a tile of 42 steps at the small
+        # budget; a run whose last step is that one raises too, and in two
+        # groups the rows of the second (3 to 5) leave while the first's stay
+        if budget is not None:
+            monkeypatch.setattr(schemes, "_TILE_DOUBLES", budget)
+        huge = ModelParams(N=1e150, beta=0.6, sigma=1.0, mu_plus_gamma=40.0, I0=10.0)
+        s = SchemeParams(h=2.0**20, alpha=0.1, theta=2.0)
+        dw = np.random.default_rng(5).normal(0.0, 2.0**10, size=(3, 400))
+        assert np.isfinite(lcm_evolve(0.0, dw, P_CONV1, s).y_final).all()
+        y0 = math.log(10.0)
+        assert np.isfinite(lcm_evolve(y0, dw[:, :342], huge, s).y_final).all()
+        with pytest.raises(PreconditionError, match="row 0 from step 343 on"):
+            lcm_evolve(y0, dw[:, :343], huge, s, record=record)
+        with pytest.raises(PreconditionError, match="row 3 from step 343 on"):
+            lcm_evolve(y0, dw, [P_CONV1, huge], s, record=record)
+
 
 def milstein_one_step(i, dw, p, h):
     """One direct-Milstein step from state i: a one-step, 1-row kernel call
@@ -496,6 +523,24 @@ class TestMilsteinStep:
     def test_zero_is_fixed_point(self):
         for dw in (0.0, 1.0, -2.5):
             assert milstein_one_step(0.0, dw, P_CONV1, h=0.25) == 0.0
+
+    @pytest.mark.parametrize("p", [
+        P_CONV1,  # c = beta N - (mu + gamma) > 0
+        ModelParams(N=100, beta=0.05, sigma=0.9, mu_plus_gamma=10.0, I0=1.0),  # c < 0
+        ModelParams(N=1e150, beta=0.6, sigma=1.0, mu_plus_gamma=40.0, I0=10.0),
+    ], ids=["c>0", "c<0", "N=1e150"])
+    @pytest.mark.parametrize("h", [2.0**-15, 0.25, 2.0**20])
+    def test_zero_absorbs_any_finite_increments(self, p, h):
+        # a, b and b b' are all +-0 at I = +-0, so no increment whose dZeta is
+        # finite moves the row or flags it: milstein_violation_fraction may
+        # stop a chunk once every path is violated or at 0
+        rng = np.random.default_rng(17)
+        dw = rng.choice([-1.0, 1.0], size=(6, 300)) * 10.0 ** rng.uniform(
+            -3.0, 150.0, size=(6, 300))
+        i0 = np.array([0.0, -0.0] * 3)
+        out = milstein_evolve(i0, dw, h, p, record=True)
+        assert (out.i_snaps == 0.0).all()
+        assert not out.violated.any() and not out.exploded.any()
 
     def test_boundary_exit(self):
         # from I=N the drift alone steps straight to the absorbing boundary
