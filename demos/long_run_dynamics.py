@@ -3,15 +3,14 @@
 Strong noise pushes the stochastic reproduction number below one and every
 path dies out at an exponential rate; weak noise with R0 > 1 keeps paths
 oscillating around the persistence level lambda forever. The classifier
-turns a single trajectory into a verdict plus the evidence for it.
+turns each path into a verdict plus the evidence for it.
 
 Run from the repo root: python3 demos/long_run_dynamics.py
 """
 
-from sislab.analysis import classify_dynamics
+from sislab.analysis import dynamics_verdicts
 from sislab.model import ModelParams, regime_report
-from sislab.paths import coarsen, generate
-from sislab.schemes import SchemeParams, lcm_simulate
+from sislab.schemes import SchemeParams
 
 CASES = [
     ("extinction", 5.0,
@@ -29,11 +28,7 @@ for name, t_final, p in CASES:
         print(f", level lambda = {rep.persistence_lambda:.4f}")
 
     s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
-    steps = int(t_final / s.h)
-    for seed in range(4):
-        grid = coarsen(generate(base_seed=11, path_index=seed,
-                                t_final=t_final, fine_steps=steps), 0)
-        v = classify_dynamics(lcm_simulate(grid, p, s), p)
+    for seed, v in enumerate(dynamics_verdicts(p, s, t_final, 4, base_seed=11)):
         print(f"  seed {seed}: {v.kind:10s} lyapunov={v.lyapunov_estimate:10.3f}"
               f"  crossings={v.lambda_crossings:3d}"
               f"  I(T)={v.terminal_value:.3e}")

@@ -331,11 +331,14 @@ def _sign_changes(d):
     return unequal - ((d[0] == 0.0) & (d[-1] != 0.0)), d[-1].copy()
 
 
-def _verdict(rep, t_span, log_term, terminal, crossings):
-    """One run's verdict from its last state and its level crossings."""
+def _check_horizon(t_span):
     if t_span < _MIN_HORIZON:
         raise ConfigError(f"horizon {t_span:g} is too short to classify dynamics "
                           f"(need at least {_MIN_HORIZON:g})")
+
+
+def _verdict(rep, t_span, log_term, terminal, crossings):
+    """One run's verdict from its last state and its level crossings."""
     lyap = log_term / t_span
     kind = "Inconclusive"
     if rep.f_max_sigma is not None:
@@ -359,6 +362,7 @@ def classify_dynamics(traj, p):
     """
     times = np.asarray(traj.times, dtype=np.float64)
     t_span = float(times[-1] - times[0])
+    _check_horizon(t_span)
     terminal = float(traj.values[-1])
     if traj.log_values is not None:
         log_term = float(traj.log_values[-1])
@@ -366,7 +370,7 @@ def classify_dynamics(traj, p):
         log_term = math.log(terminal) if terminal > 0.0 else -math.inf
     rep = regime_report(p)
     crossings = 0
-    if rep.f_max_sigma is None and rep.persistence_lambda is not None:
+    if rep.persistence_lambda is not None:
         tail = times >= times[0] + 0.5 * t_span
         d = np.asarray(traj.values, dtype=np.float64)[tail] - rep.persistence_lambda
         crossings = int(_sign_changes(d[:, None])[0][0])
@@ -379,14 +383,16 @@ def dynamics_verdicts(params, scheme, t_final, n_paths, base_seed):
     _BLOCK-step recordings, of which only the last states and the sign
     changes in the second half of the run are kept."""
     steps = _whole_steps(t_final, scheme.h, "t_final")
+    h = t_final / steps
+    _check_horizon(steps * h)
     return sum(_over_chunks(_dynamics_chunk, n_paths, base_seed, n_paths * steps,
-                            params, scheme, steps, t_final / steps), [])
+                            params, scheme, steps, h), [])
 
 
 def _dynamics_chunk(streams, params, scheme, steps, h):
     """Verdicts of one chunk's paths, on the grid's own step h."""
     rep = regime_report(params)
-    level = rep.persistence_lambda if rep.f_max_sigma is None else None
+    level = rep.persistence_lambda
     # the first state k with k h >= steps h / 2, on classify_dynamics' times
     tail = int(np.searchsorted(np.arange(steps + 1) * h, 0.5 * (steps * h)))
     y = math.log(params.I0)

@@ -364,17 +364,18 @@ def _build_parser():
                     "stochastic SIS model")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, paths=True):
         sp.add_argument("--config", required=True, help="experiment INI file")
         sp.add_argument("--seed", type=int, default=None,
                         help="override base_seed from the config")
-        sp.add_argument("--paths", type=int, default=None,
-                        help="override the path/seed count from the config")
+        if paths:  # simulate writes one path
+            sp.add_argument("--paths", type=int, default=None,
+                            help="override the path/seed count from the config")
         sp.add_argument("--out", default=None,
                         help="output file (simulate) or directory (others)")
 
     p = sub.add_parser("simulate", help="write one trajectory as CSV")
-    common(p)
+    common(p, paths=False)
     p.add_argument("--scheme", choices=("lcm", "milstein"), default="lcm",
                    help="lcm: truncated log-space scheme (default); "
                         "milstein: unguarded direct scheme")

@@ -13,7 +13,6 @@ parameter set sits in the extinction or the persistence regime.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -147,46 +146,37 @@ def f_max_sigma(p):
         "and beta^2/(2(mu+gamma))")
 
 
-_LAMBDA_TOL = 1e-12  # residual at which persistence_lambda's bisection stops
+def _persistence_gap(p):
+    """N - lambda, the smaller root of u (beta - sigma^2 u / 2) = mu + gamma."""
+    _, r0s = reproduction_numbers(p)
+    if r0s <= 1.0:
+        raise PreconditionError(
+            f"R0^S = {r0s:g} <= 1: persistence level requires R0^S > 1")
+    m = p.mu_plus_gamma
+    # R0^S > 1 forces beta^2 - 2 sigma^2 (mu+gamma) >= (beta - sigma^2 N)^2 >= 0
+    return 2.0 * m / (p.beta + math.sqrt(p.beta**2 - 2.0 * p.sigma**2 * m))
 
 
 def persistence_lambda(p):
     """Root of beta N - mu - gamma - beta lam - sigma^2 (N - lam)^2 / 2 in (0, N).
 
     The residual is concave in lam, positive at 0 exactly when R0^S > 1, and
-    equals -(mu + gamma) at N, so plain bisection is safe. Iterates until the
-    residual is within _LAMBDA_TOL, for at most 200 halvings.
+    -(mu + gamma) at N: one root is in (0, N), the other below 0. In
+    u = N - lam it reads beta u - mu - gamma - sigma^2 u^2 / 2, whose smaller
+    root (beta - sqrt(D)) / sigma^2, with D = beta^2 - 2 sigma^2 (mu + gamma),
+    equals 2 (mu + gamma) / (beta + sqrt(D)) without the cancellation; then
+    lam = N - u. That is as exact as the inputs allow: lam's condition number
+    in N is N / lam, so near R0^S = 1 its relative error is about 1e-16 N / lam.
     """
-    _, r0s = reproduction_numbers(p)
-    if r0s <= 1.0:
-        raise PreconditionError(
-            f"R0^S = {r0s:g} <= 1: persistence level requires R0^S > 1")
-    lo, hi = 0.0, float(p.N)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = (p.beta * p.N - p.mu_plus_gamma - p.beta * mid
-               - 0.5 * p.sigma**2 * (p.N - mid) ** 2)
-        if abs(val) <= _LAMBDA_TOL:
-            break
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    return p.N - _persistence_gap(p)
 
 
 def persistence_alpha_bound(p, h, theta):
     """Largest admissible truncation coefficient alpha for the persistence
-    theorem at step size h and exponent theta."""
-    _, r0s = reproduction_numbers(p)
-    if r0s <= 1.0:
-        raise PreconditionError(
-            f"R0^S = {r0s:g} <= 1: bound only defined in the persistence regime")
-    s2 = p.sigma**2
-    # R0^S > 1 forces beta^2 - 2 sigma^2 (mu+gamma) >= (beta - sigma^2 N)^2 >= 0
-    rad = p.beta**2 - 2.0 * s2 * p.mu_plus_gamma
-    denom = s2 * p.N - p.beta + math.sqrt(rad)
-    return h**-theta * math.log(s2 * p.N / denom)
+    theorem at step size h and exponent theta: h^-theta log(N / lambda)."""
+    # log(N / lambda) = -log1p(-(N - lambda) / N), which keeps its digits
+    # where lambda is near N and the log of the rounded ratio would lose them
+    return -h**-theta * math.log1p(-_persistence_gap(p) / p.N)
 
 
 @dataclass(frozen=True)
@@ -200,7 +190,6 @@ class RegimeReport:
     persistence_lambda: float | None
 
 
-@functools.cache
 def regime_report(p):
     r0d, r0s = reproduction_numbers(p)
     case = extinction_case(p)

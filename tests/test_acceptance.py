@@ -21,10 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from sislab.model import ModelParams, persistence_lambda
-from sislab.paths import coarsen, generate
-from sislab.schemes import SchemeParams, lcm_evolve, lcm_simulate
+from sislab.schemes import SchemeParams, lcm_evolve
 from sislab.analysis import (
-    classify_dynamics,
+    dynamics_verdicts,
     fit_rate,
     milstein_violation_fraction,
     strong_error,
@@ -115,15 +114,9 @@ def test_criterion_4_extinction_preserved_at_coarse_steps():
     results = []
     for h in (2.0**-4, 2.0**-2, 2.0**-1):
         s = SchemeParams(h=h, alpha=0.1, theta=2.0)
-        extinct = 0
-        decay_ok = 0
-        n_seeds = 100
-        for idx in range(n_seeds):
-            grid = generate(base_seed=4001, path_index=idx, t_final=5.0,
-                            fine_steps=round(5.0 / h))
-            verdict = classify_dynamics(lcm_simulate(coarsen(grid, 0), P_EXT, s), P_EXT)
-            extinct += verdict.kind == "Extinct" and verdict.terminal_value < 1e-8
-            decay_ok += verdict.lyapunov_estimate <= -4.9
+        verdicts = dynamics_verdicts(P_EXT, s, 5.0, 100, base_seed=4001)
+        extinct = sum(v.kind == "Extinct" and v.terminal_value < 1e-8 for v in verdicts)
+        decay_ok = sum(v.lyapunov_estimate <= -4.9 for v in verdicts)
         results.append((h, extinct, decay_ok))
     ok = all(e >= 95 and d >= 95 for _, e, d in results)
     report(4, ok, "extinct/decay counts per h over 100 seeds: "
@@ -136,13 +129,9 @@ def test_criterion_5_persistence_preserved_at_coarse_steps():
     results = []
     for h in (2.0**-2, 2.0**-1):
         s = SchemeParams(h=h, alpha=0.1, theta=2.0)
-        persistent = 0
-        n_seeds = 100
-        for idx in range(n_seeds):
-            grid = generate(base_seed=5001, path_index=idx, t_final=200.0,
-                            fine_steps=round(200.0 / h))
-            verdict = classify_dynamics(lcm_simulate(coarsen(grid, 0), P_PERS, s), P_PERS)
-            persistent += verdict.kind == "Persistent" and verdict.lambda_crossings >= 3
+        verdicts = dynamics_verdicts(P_PERS, s, 200.0, 100, base_seed=5001)
+        persistent = sum(v.kind == "Persistent" and v.lambda_crossings >= 3
+                         for v in verdicts)
         results.append((h, persistent))
     ok = lam_ok and all(c >= 95 for _, c in results)
     report(5, ok, f"lambda={lam:.4f} (target 32.9588 +/- 1e-3), persistent counts "

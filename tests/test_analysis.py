@@ -500,7 +500,7 @@ class TestFrozenOutputs:
              *self.EXP_DEPENDENT], cwd=ROOT, capture_output=True, text=True,
             timeout=300, env=env)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "3 passed" in proc.stdout
+        assert "2 passed" in proc.stdout
 
     def test_strong_error(self):
         table = strong_error(P_CONV1, SchemeParams(h=2.0**-13, alpha=0.1, theta=2.0),
@@ -581,6 +581,22 @@ class TestDynamicsVerdicts:
         with pytest.raises(ConfigError, match="too short"):
             dynamics_verdicts(P_PERS, SchemeParams(h=0.25, alpha=0.1, theta=2.0),
                               0.5, 2, base_seed=1)
+
+    def test_short_horizon_rejected_before_stepping(self, monkeypatch):
+        # the horizon is checked once, before any block is drawn or stepped
+        calls = []
+        evolve = analysis.lcm_evolve
+
+        def counting(y0, dw, p, s, record=False):
+            calls.append(dw.shape)
+            return evolve(y0, dw, p, s, record)
+
+        monkeypatch.setattr(analysis, "lcm_evolve", counting)
+        monkeypatch.setattr(analysis, "_cores", lambda: 1)  # stay in this process
+        with pytest.raises(ConfigError, match="too short"):
+            dynamics_verdicts(P_PERS, SchemeParams(h=2.0**-12, alpha=0.1, theta=2.0),
+                              0.5, 300, base_seed=1)
+        assert calls == []
 
     @pytest.mark.parametrize("n_paths", [0, -3])
     def test_non_positive_paths_rejected(self, n_paths):

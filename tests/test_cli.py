@@ -455,6 +455,13 @@ class TestSimulate:
         out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
         assert main(["simulate", "--config", path, "--out", out]) == 3
 
+    def test_paths_flag_is_usage_error(self, tmp_path, capsys):
+        # simulate writes one path: it took --paths and ignored it, so even
+        # --paths -3 exited 0
+        path = write_cfg(tmp_path, CONV_CFG)
+        assert main(["simulate", "--config", path, "--paths", "3"]) == 2
+        assert "unrecognized arguments: --paths 3" in capsys.readouterr().err
+
 
 class TestConvergence:
     def test_outputs(self, tmp_path):
@@ -522,15 +529,11 @@ class TestDynamics:
         lines = (out / "dynamics_2m2.csv").read_text().splitlines()
         assert len(lines) == 4
 
-    @pytest.mark.parametrize("cached", [True, False])
-    def test_persistence_summaries_are_frozen(self, tmp_path, monkeypatch, cached):
+    def test_persistence_summaries_are_frozen(self, tmp_path):
         # sha256 of the summaries recorded from the code that stepped 25 paths
         # per recording call and reran regime_report for every trajectory
         # (the baseline exp loop's from the code that streams them in blocks);
-        # neither the cached report nor streaming may move a byte
-        if not cached:
-            monkeypatch.setattr(analysis, "regime_report",
-                                analysis.regime_report.__wrapped__)
+        # streaming may not move a byte
         expected = {
             "2m2": "765e7db39d783b359994e79c215daec645fca83dc157c78b0d474c451b240ef5",
             "2m1": "5ea58d4074b06bbb011de9afb6bd543140019d806a6d5ca06b3dc167aff99e34",

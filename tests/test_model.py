@@ -4,11 +4,13 @@ Expected values marked "oracle" were derived independently in
 tools/derive_oracles.py (mpmath, 50 digits) before the implementation existed.
 """
 
-import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sislab.model import (
     ExtinctionCase,
@@ -217,14 +219,39 @@ class TestPersistenceLambda:
             found += 1
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestClosedFormAccuracy:
+    """persistence_lambda and persistence_alpha_bound against the textbook
+    root (sigma^2 N - beta + sqrt(beta^2 - 2 sigma^2 (mu+gamma))) / sigma^2,
+    evaluated in mpmath at 50 digits on the exact float inputs."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(N=log_uniform(2.0, 1e4), beta=log_uniform(1e-3, 10.0),
+           sigma=log_uniform(1e-4, 10.0), mug=log_uniform(1e-2, 100.0))
+    # a bisection to a residual of 1e-12 left lambda 1.4e-8 off here
+    @example(N=3.58, beta=0.0116, sigma=0.00647, mug=0.0412)
+    def test_relative_error_within_1e_12(self, N, beta, sigma, mug):
+        p = ModelParams(N=N, beta=beta, sigma=sigma, mu_plus_gamma=mug, I0=N / 2)
+        assume(reproduction_numbers(p)[1] > 1.0)
+        with mpmath.workdps(50):
+            n, b, s2, m = (mpmath.mpf(N), mpmath.mpf(beta), mpmath.mpf(sigma) ** 2,
+                           mpmath.mpf(mug))
+            lam = (s2 * n - b + mpmath.sqrt(b * b - 2 * s2 * m)) / s2
+            bound = 16 * mpmath.log(n / lam)  # h = 1/4, theta = 2
+            assert abs(persistence_lambda(p) / lam - 1) <= 1e-12
+            assert abs(persistence_alpha_bound(p, h=0.25, theta=2.0) / bound - 1) <= 1e-12
+
+
 class TestPersistenceAlphaBound:
     def test_substitution_oracle(self):
         b = persistence_alpha_bound(P_PERS, h=0.25, theta=2.0)
         assert b == pytest.approx(ALPHA_BOUND_PERS, rel=1e-12)
 
     def test_equals_log_ratio_of_population_to_lambda(self):
-        # algebraic identity: sigma^2 N - beta + sqrt(rad) = sigma^2 lambda,
-        # so the bound is h^-theta * log(N / lambda)
+        # the bound is h^-theta * log(N / lambda), formed through N - lambda
         lam = persistence_lambda(P_PERS)
         b = persistence_alpha_bound(P_PERS, h=0.25, theta=2.0)
         assert b == pytest.approx(16.0 * math.log(P_PERS.N / lam), rel=1e-9)
@@ -301,9 +328,3 @@ class TestRegimeReport:
         assert rep.extinction_case is ExtinctionCase.NEITHER
         assert rep.f_max_sigma is None
         assert rep.persistence_lambda is None
-
-    def test_computed_once_per_parameter_set(self):
-        # classify_dynamics asks once per trajectory; equal parameters share
-        # one report instead of rerunning persistence_lambda's bisection
-        assert regime_report(P_PERS) is regime_report(P_PERS)
-        assert regime_report(dataclasses.replace(P_PERS)) is regime_report(P_PERS)
