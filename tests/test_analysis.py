@@ -500,7 +500,7 @@ class TestFrozenOutputs:
              *self.EXP_DEPENDENT], cwd=ROOT, capture_output=True, text=True,
             timeout=300, env=env)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "2 passed" in proc.stdout
+        assert "3 passed" in proc.stdout
 
     def test_strong_error(self):
         table = strong_error(P_CONV1, SchemeParams(h=2.0**-13, alpha=0.1, theta=2.0),

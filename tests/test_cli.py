@@ -529,11 +529,15 @@ class TestDynamics:
         lines = (out / "dynamics_2m2.csv").read_text().splitlines()
         assert len(lines) == 4
 
-    def test_persistence_summaries_are_frozen(self, tmp_path):
+    @pytest.mark.parametrize("sharded", [True, False])
+    def test_persistence_summaries_are_frozen(self, tmp_path, monkeypatch, sharded):
         # sha256 of the summaries recorded from the code that stepped 25 paths
         # per recording call and reran regime_report for every trajectory
         # (the baseline exp loop's from the code that streams them in blocks);
-        # streaming may not move a byte
+        # neither streaming nor sharding the paths over forked workers may
+        # move a byte
+        if sharded:
+            monkeypatch.setattr(analysis, "_SHARD_FLOOR", 0)
         expected = {
             "2m2": "765e7db39d783b359994e79c215daec645fca83dc157c78b0d474c451b240ef5",
             "2m1": "5ea58d4074b06bbb011de9afb6bd543140019d806a6d5ca06b3dc167aff99e34",
