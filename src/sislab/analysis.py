@@ -332,7 +332,11 @@ def _sign_changes(d):
 
 
 def _check_horizon(t_span):
-    if t_span < _MIN_HORIZON:
+    # t_span is steps x (t_final / steps), which can round below t_final (49 x
+    # 1/49 = 0.9999999999999999): a span within the grid's step tolerance of
+    # the minimum is the minimum
+    if t_span < _MIN_HORIZON and not math.isclose(t_span, _MIN_HORIZON,
+                                                  rel_tol=_STEP_RTOL):
         raise ConfigError(f"horizon {t_span:g} is too short to classify dynamics "
                           f"(need at least {_MIN_HORIZON:g})")
 

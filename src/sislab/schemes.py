@@ -13,11 +13,13 @@ Each scheme has one batch kernel, lcm_evolve and milstein_evolve. The
 single-path functions lcm_simulate and milstein_direct_simulate are 1-row
 views of it, so a path run alone is bit-identical to the same path run as a
 row of a batch. Both kernels step in place (every operation of a step writes
-into a preallocated row) on one tile walker, which rebuilds dZeta =
-(dW^2 - h) / 2 from dW once per tile of steps and, with record=True, steps
-straight into one step-major array of every state. lcm_evolve steps at the
-scheme's h and takes one ModelParams per group of rows, so many parameter
-sets step on shared increments in one call.
+into a preallocated row) on one tile walker. Once per tile of steps it
+transposes dW to step-major order in slabs of 64 or more paths and rebuilds
+dZeta = (dW^2 - h) / 2, so that each step reads its h, dW and dZeta as one
+contiguous 3-row operand; with record=True the kernels step straight into
+one step-major array of every state. lcm_evolve steps at the scheme's h and
+takes one ModelParams per group of rows, so many parameter sets step on
+shared increments in one call.
 """
 
 from __future__ import annotations
@@ -97,7 +99,16 @@ class LcmBatch:
     flags: np.ndarray | None
 
 
-_TILE_DOUBLES = 1 << 16  # doubles in each of a kernel's tile buffers
+# Rows x steps of one tile. A tile holds three doubles per row-step, its h,
+# dW and dZeta operands, and at most one more, dW's step-major copy: 4 x 2^15
+# doubles (1 MiB) in all.
+_TILE_DOUBLES = 1 << 15
+# Doubles of dw per transposing copy, in at least 64 paths: 64 paths of a
+# 32-step tile, more paths of a shorter one. In one strided copy, a tile of a
+# 512 x 4,096 block cost 12-16 ns per element (2-core x86-64), in 64-path
+# copies 1.8-1.9 ns; 4-step tiles of 8,192 paths cost 16 ns in 64-path copies
+# and 8.2 in 512-path ones.
+_SLAB_DOUBLES = 1 << 11
 _STEP_RTOL = 1e-9  # relative gap within which a grid step counts as the step h
 
 
@@ -106,13 +117,25 @@ def _tile_steps(n_rows, steps):
     return max(1, min(steps, _TILE_DOUBLES // max(n_rows, 1)))
 
 
+def _step_rows(cache, record, *tiles):
+    """The rows of tiles step by step, zipped. Without record every tile is a
+    prefix of the same buffers, so the first tile's rows are kept in cache."""
+    if record:
+        return zip(*tiles)
+    if not cache:
+        cache[:] = zip(*tiles)
+    return cache[:len(tiles[-1])]
+
+
 def _walk_tiles(start, dw, h, groups, record, step_tile):
     """Step start's rows (row g W + r reads row r of dw) tile by tile.
 
-    step_tile(k, states, w, z) steps one tile: w and z hold its dW and dZeta
-    = (dW^2 - h) / 2, one row per step, and it writes the state after row j's
-    step into states[j + 1] from states[0], which is row k of a buffer of every
-    state with record (k is the tile's first step), else of one tile (k = 0).
+    step_tile(k, states, m) steps one tile: m[j] holds step j's h, dW and
+    dZeta = (dW^2 - h) / 2 as three contiguous rows, and it writes the state
+    after step j into states[j + 1] from states[0], which is row k of a buffer
+    of every state with record (k is the tile's first step), else of one tile
+    (k = 0). m, and states without record, are prefixes of the same buffers
+    on every tile.
     Returns that recording transposed (None unless record) and final states.
     """
     width, steps = dw.shape
@@ -120,17 +143,27 @@ def _walk_tiles(start, dw, h, groups, record, step_tile):
     tile = _tile_steps(n_rows, steps)
     states = np.empty((steps + 1 if record else tile + 1, n_rows))
     states[0] = start
-    w_tile, z_tile = np.empty((2, tile, n_rows))
+    # one block for both, mapped and returned to the system as one: as two,
+    # the smaller could stay resident on the heap once freed (violation's
+    # in-process run held 0.16 MB more after its call)
+    buf = np.empty(tile * (3 * n_rows + width))
+    hwz = buf[:3 * tile * n_rows].reshape(tile, 3, n_rows)
+    hwz[:, 0] = h
+    w_tile = buf[3 * tile * n_rows:].reshape(tile, width)
     for k0 in range(0, steps, tile):
         n = min(tile, steps - k0)
-        w, z = w_tile[:n], z_tile[:n]
+        w, m = w_tile[:n], hwz[:n]
+        slab = max(64, _SLAB_DOUBLES // n)
+        for r0 in range(0, width, slab):
+            np.copyto(w[:, r0:r0 + slab], dw[r0:r0 + slab, k0:k0 + n].T)
         # every group reads the same increments
-        np.copyto(w.reshape(n, groups, width), dw[:, k0:k0 + n].T[:, None, :])
-        np.multiply(w, w, z)
-        z *= 0.5
-        z -= 0.5 * h
+        np.copyto(m[:, 1].reshape(n, groups, width), w[:, None])
+        np.multiply(w, w, w)  # dZeta, in place of dW, on contiguous rows
+        w *= 0.5
+        w -= 0.5 * h
+        np.copyto(m[:, 2].reshape(n, groups, width), w[:, None])
         k = k0 if record else 0
-        step_tile(k, states[k:k + n + 1], w, z)
+        step_tile(k, states[k:k + n + 1], m)
         if not record:
             states[0] = states[n]
     return (states.T if record else None), states[-1 if record else 0].copy()
@@ -155,8 +188,9 @@ def lcm_evolve(y0, dw, p, s, record=False):
 
     Each step is np.exp plus log_coeffs' operations, in its order and
     grouping, and the Milstein update ((y + f h) + g dW) + g g' dZeta, each a
-    ufunc call writing into a preallocated row; the truncation counts are
-    formed once per tile of steps.
+    ufunc call writing into a preallocated row, with a1 e^y and sigma (N - e^y)
+    formed in one call and f h, g dW and g g' dZeta in another; the truncation
+    counts are formed once per tile of steps.
     """
     dw = np.asarray(dw, dtype=np.float64)
     width, steps = dw.shape
@@ -177,49 +211,51 @@ def lcm_evolve(y0, dw, p, s, record=False):
             # h = 2^-24 at N = 100, alpha = 0.1, theta = 2): never reset onto log N
             min(log_n - s.alpha * s.h**s.theta, math.nextafter(log_n, -math.inf)),
             # log_coeffs' constants, formed as it forms them
-            -0.5 * s2, s2 * q.N - q.beta,
+            -0.5 * s2, q.sigma, s2 * q.N - q.beta,
             q.beta * q.N - q.mu_plus_gamma - 0.5 * s2 * q.N * q.N,
-            q.N, q.sigma, -s2, s.h))
+            q.N, -s2))
     # each constant is a full row, as a Python-float or broadcast operand
     # costs more per call
-    log_n, reset, a1, a2, c0, big_n, sigma, neg_s2, step = np.repeat(
-        np.array(table, dtype=np.float64).reshape(-1, 9).T, width, axis=1)
-    ex, fy, gy, ggy, n_ex = np.empty((5, n_rows))
+    consts = np.repeat(np.array(table, dtype=np.float64).reshape(-1, 8).T, width, axis=1)
+    log_n, reset, _, _, a2, c0, big_n, neg_s2 = consts
+    a1_sigma = consts[2:4]  # one operand, against en
+    en = np.empty((2, n_rows))  # e^y and N - e^y
+    fgg = np.empty((3, n_rows))  # f, g and g g', then f h, g dW and g g' dZeta
+    (ex, n_ex), (fy, gy, ggy), fg = en, fgg, fgg[:2]
     hit_rows = np.empty((steps if record else _tile_steps(n_rows, steps), n_rows), bool)
     # ufuncs with the output as third argument, cheaper to call than out=
     exp, mul, add, sub, ge = np.exp, np.multiply, np.add, np.subtract, np.greater_equal
     done = [0]  # steps of the tiles before this one
+    views = []
 
-    def step_tile(k, states, w, z):
-        hits = hit_rows[k:k + len(w)]
-        for y, nxt, dw_k, dz_k, hit in zip(states, states[1:], w, z, hits):
+    def step_tile(k, states, m):
+        hits = hit_rows[k:k + len(m)]
+        for y, nxt, hit, m_k in _step_rows(views, record, states, states[1:], hits, m):
             # log_coeffs: f = (-s2/2 e^y + (s2 N - beta)) e^y + c0,
             # g = sigma (N - e^y), g g' = -s2 e^y (N - e^y)
             exp(y, ex)
-            mul(a1, ex, fy)
+            sub(big_n, ex, n_ex)
+            mul(a1_sigma, en, fg)
             add(fy, a2, fy)
             mul(fy, ex, fy)
             add(fy, c0, fy)
-            sub(big_n, ex, n_ex)
-            mul(sigma, n_ex, gy)
             mul(neg_s2, ex, ggy)
             mul(ggy, n_ex, ggy)
             # y + f h + g dW + g g' dZeta, reset at or above log N
-            mul(fy, step, fy)
+            mul(fgg, m_k, fgg)
             add(y, fy, nxt)
-            mul(gy, dw_k, gy)
             add(nxt, gy, nxt)
-            mul(ggy, dz_k, ggy)
             add(nxt, ggy, nxt)
             ge(nxt, log_n, hit)
             np.copyto(nxt, reset, where=hit)
-        counts[...] += hits.sum(axis=0)
+        if hits.any():
+            counts[...] += hits.sum(axis=0)
         # -inf and NaN persist, +inf is reset: the last states show every bad row
         if not np.isfinite(states[-1]).all():
             row = np.flatnonzero(~np.isfinite(states[-1]))[0]
             at = done[0] + np.argmin(np.isfinite(states[:, row]))
             raise PreconditionError(f"Y is not finite on row {row} from step {at} on")
-        done[0] += len(w)
+        done[0] += len(m)
 
     with np.errstate(over="ignore", invalid="ignore"):  # step_tile raises on them
         snaps, final = _walk_tiles(start, dw, s.h, len(groups), record, step_tile)
@@ -286,19 +322,13 @@ def milstein_evolve(i0, dw, h, p, record=False):
     x[5] = p.sigma
     y, ab = np.empty((2, 3, n_paths))
     x5, x3, x36, (ah, bw, bbz) = x[:5], x[:3], x[3:], ab
-    # each step's h, dW and dZeta as one operand, filled per tile
-    hwz = np.empty((_tile_steps(n_paths, dw.shape[1]), 3, n_paths))
-    hwz[:, 0] = h
     views = []
     # ufuncs with the output as third argument, cheaper to call than out=
     mul, sub, add = np.multiply, np.subtract, np.add
 
-    def step_tile(k, states, w, z):
+    def step_tile(k, states, m):
         new = states[1:]
-        hwz[:len(w), 1], hwz[:len(w), 2] = w, z
-        if record or not views:  # without record every tile steps the same rows
-            views[:] = zip(states, new, hwz)
-        for I, nxt, m in views[:len(w)]:
+        for I, nxt, m_k in _step_rows(views, record, states, new, m):
             # x = beta I, I, 2 I, I, sigma I, sigma (I twice: x[:3] and x[3:] are
             # one operand each); ab = a = I (c - beta I), b = (sigma I) (N - I) and
             # b b' with b' = sigma (N - 2 I), then a h, b dW and b b' dZeta
@@ -306,7 +336,7 @@ def milstein_evolve(i0, dw, h, p, record=False):
             sub(cnn, x3, y)
             mul(x36, y, ab)
             mul(bw, bbz, bbz)
-            mul(ab, m, ab)
+            mul(ab, m_k, ab)
             add(I, ah, nxt)
             add(nxt, bw, nxt)
             add(nxt, bbz, nxt)

@@ -582,6 +582,19 @@ class TestDynamicsVerdicts:
             dynamics_verdicts(P_PERS, SchemeParams(h=0.25, alpha=0.1, theta=2.0),
                               0.5, 2, base_seed=1)
 
+    @pytest.mark.parametrize("steps", [49, 98, 103, 107, 161, 187, 196, 197])
+    def test_horizon_of_one_accepted_where_steps_times_h_rounds_below(self, steps):
+        # steps x (1 / steps) is 0.9999999999999999 here, which is still the
+        # minimum horizon of 1; the per-path route must agree
+        s = SchemeParams(h=1.0 / steps, alpha=0.1, theta=2.0)
+        assert steps * s.h < 1.0
+        verdicts = dynamics_verdicts(P_PERS, s, 1.0, 3, base_seed=1)
+        for j, verdict in enumerate(verdicts):
+            grid = generate(base_seed=1, path_index=j, t_final=1.0, fine_steps=steps)
+            traj = lcm_simulate(coarsen(grid, 0), P_PERS, s)
+            assert traj.times[-1] < 1.0
+            assert verdict == classify_dynamics(traj, P_PERS)
+
     def test_short_horizon_rejected_before_stepping(self, monkeypatch):
         # the horizon is checked once, before any block is drawn or stepped
         calls = []

@@ -573,14 +573,23 @@ class TestDynamics:
         path = write_cfg(tmp_path, text + "[run]\nt_final = 2000\nn_paths = 100\n"
                          "base_seed = 5001\n\n[dynamics]\nstep_sizes = 2^-6\n"
                          "n_seeds = 100\n")
+        # Linux carries ru_maxrss across exec, so the interpreter's own
+        # RUSAGE_SELF would report this pytest process's peak: it reads its
+        # high-water mark VmHWM instead where /proc has one
         argv = ["dynamics", "--config", path, "--out", str(tmp_path / "o")]
         proc = run_python("import resource\n"
                           "from sislab.cli import main\n"
                           f"assert main({argv!r}) == 0\n"
-                          "print(max(resource.getrusage(who).ru_maxrss for who in\n"
-                          "          (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))\n")
+                          "try:\n"
+                          "    with open('/proc/self/status') as fh:\n"
+                          "        own = next(int(line.split()[1]) for line in fh\n"
+                          "                   if line.startswith('VmHWM:'))\n"
+                          "except (OSError, StopIteration):\n"
+                          "    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                          "print(max(own, resource.getrusage(resource.RUSAGE_CHILDREN)"
+                          ".ru_maxrss))\n")
         assert proc.returncode == 0, proc.stderr
-        peak_mb = int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+        peak_mb = int(proc.stdout.split()[-1]) / 1024  # both are in KiB
         assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
 
 

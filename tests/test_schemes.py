@@ -275,9 +275,11 @@ class TestLcmEvolveReference:
         y0 = math.log(p.I0) + rng.uniform(-1.0, 1.0, size=width)
         return p, s, y0, dw
 
+    # at the default budgets 65 and 130 rows of 37 or 200 steps end in a
+    # partial 64-path slab
     @pytest.mark.parametrize("name", sorted(CASES))
     @pytest.mark.parametrize("steps", [1, 2, 37, 200])
-    @pytest.mark.parametrize("width", [1, 7, 128])
+    @pytest.mark.parametrize("width", [1, 7, 65, 128, 130])
     def test_matches_per_step_reference(self, name, width, steps):
         p, s, y0, dw = self.case(name, width, steps)
         ref, flags = lcm_reference(y0, dw, p, s)
@@ -306,13 +308,18 @@ class TestLcmEvolveReference:
 
     # lcm_evolve steps in tiles and records once per tile; as in
     # TestMilsteinEvolveTiles, a small budget puts tile edges inside these runs
-    BUDGET = 1 << 10  # doubles per tile in these tests: tiles of 1024, 146, 8
+    BUDGET = 1 << 10  # row-steps per tile in these tests: tiles of 1024, 146, 8
+    # and a small transposing budget, so that slab edges fall inside them too:
+    # 65 and 130 rows (tiles of 15 and 7 steps) end in a partial slab, in
+    # slabs of 64 and of 73 paths
+    SLAB_BUDGET = 1 << 9
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    @pytest.mark.parametrize("width", [1, 7, 128])
+    @pytest.mark.parametrize("width", [1, 7, 65, 128, 130])
     @pytest.mark.parametrize("kind", ["one", "tile-1", "tile", "tile+1", "ragged"])
     def test_tile_boundaries_match_reference(self, monkeypatch, name, width, kind):
         monkeypatch.setattr(schemes, "_TILE_DOUBLES", self.BUDGET)
+        monkeypatch.setattr(schemes, "_SLAB_DOUBLES", self.SLAB_BUDGET)
         tile = self.BUDGET // width
         steps = {"one": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
                  "ragged": 3 * (tile - 1)}[kind]
@@ -342,6 +349,23 @@ class TestLcmEvolveReference:
         np.testing.assert_array_equal(a.trunc_counts + b.trunc_counts,
                                       flags.sum(axis=1))
 
+    def test_tile_without_truncations_between_truncating_tiles(self, monkeypatch):
+        # the "inside" case never nears log N on its own: a kick of dW = 3 at
+        # steps 2 and 34 truncates in the first and the last of three 16-step
+        # tiles of 8 rows, and the middle tile, which truncates nowhere, adds
+        # no counts
+        monkeypatch.setattr(schemes, "_TILE_DOUBLES", 8 * 16)
+        p, s, y0, dw = self.case("inside", 8, 3 * 16)
+        dw[:, [2, 34]] = 3.0
+        ref, flags = lcm_reference(y0, dw, p, s)
+        assert flags.reshape(8, 3, 16).any(axis=(0, 2)).tolist() == [True, False, True]
+        for record in (False, True):
+            out = lcm_evolve(y0, dw, p, s, record=record)
+            np.testing.assert_array_equal(out.trunc_counts, flags.sum(axis=1))
+            np.testing.assert_array_equal(out.y_final, ref[:, -1])
+            if record:
+                np.testing.assert_array_equal(out.flags, flags)
+
 
 class TestLcmEvolveGroups:
     """With a sequence of G ModelParams, row g W + r of lcm_evolve uses group
@@ -370,11 +394,14 @@ class TestLcmEvolveGroups:
         return groups, y0, dw
 
     @pytest.mark.parametrize("n_groups", [1, 3, 12])
-    @pytest.mark.parametrize("width", [1, 7, 128])
+    @pytest.mark.parametrize("width", [1, 7, 65, 128, 130])
     def test_groups_equal_one_set_calls(self, monkeypatch, n_groups, width):
         # a small tile budget, so that grouped and one-set calls cut their
-        # tiles at different steps
+        # tiles at different steps, and a transposing budget that makes every
+        # slab 64 paths, so that 65 and 130 rows end in a partial slab for any
+        # number of groups
         monkeypatch.setattr(schemes, "_TILE_DOUBLES", 1 << 10)
+        monkeypatch.setattr(schemes, "_SLAB_DOUBLES", 64)
         groups, y0, dw = self.case(n_groups, width, 60)
         for record in (False, True):
             out = lcm_evolve(y0, dw, groups, self.S, record=record)
@@ -582,7 +609,7 @@ class TestMilsteinEvolveTiles:
     """milstein_evolve steps in tiles and checks the domain once per tile; it
     must equal the per-step reference bit for bit at every tile boundary."""
 
-    BUDGET = 1 << 10  # doubles per tile in these tests: tiles of 1024, 146, 8
+    BUDGET = 1 << 10  # row-steps per tile in these tests: tiles of 1024, 146, 8
 
     @staticmethod
     def case(width, steps, h=2.0**-14):
@@ -602,11 +629,13 @@ class TestMilsteinEvolveTiles:
         return i0, dw, h
 
     # 64 and 500 rows are the worker widths of the benchmark's violation run
-    # and of acceptance criterion 6
-    @pytest.mark.parametrize("width", [1, 7, 64, 128, 500])
+    # and of acceptance criterion 6; with a small transposing budget 65, 130
+    # and 500 rows end in a partial slab, in slabs of 64, 73 and 256 paths
+    @pytest.mark.parametrize("width", [1, 7, 64, 65, 128, 130, 500])
     @pytest.mark.parametrize("kind", ["one", "tile-1", "tile", "tile+1", "ragged"])
     def test_matches_per_step_reference(self, monkeypatch, width, kind):
         monkeypatch.setattr(schemes, "_TILE_DOUBLES", self.BUDGET)
+        monkeypatch.setattr(schemes, "_SLAB_DOUBLES", 1 << 9)
         tile = self.BUDGET // width
         steps = {"one": 1, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
                  "ragged": 3 * (tile - 1)}[kind]
