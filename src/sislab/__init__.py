@@ -1,7 +1,7 @@
 """Domain-preserving simulation toolkit for the stochastic SIS epidemic model."""
 
 from .model import ModelParams, PreconditionError, RegimeReport, regime_report
-from .schemes import SchemeParams, Trajectory, lcm_simulate, milstein_direct_simulate
+from .schemes import SchemeParams, Trajectory, lcm_simulate
 from .analysis import ErrorTable, RateFit, fit_rate, strong_error
 
 __version__ = "0.1.0"
@@ -16,7 +16,6 @@ __all__ = [
     "Trajectory",
     "fit_rate",
     "lcm_simulate",
-    "milstein_direct_simulate",
     "regime_report",
     "strong_error",
     "__version__",

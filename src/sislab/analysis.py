@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "write_dynamics_summary",
     "write_error_table",
     "write_rate_fit",
+    "write_trajectory",
     "write_truncation_table",
 ]
 
@@ -454,3 +456,43 @@ def write_dynamics_summary(rows, fh):
     for seed, v in rows:
         fh.write(f"{seed},{v.kind},{_num(v.lyapunov_estimate)},"
                  f"{v.lambda_crossings},{_num(v.terminal_value)}\n")
+
+
+def write_trajectory(params, scheme, t_final, steps, base_seed, direct, out=None):
+    """Write path 0 of base_seed over steps steps of t_final / steps as CSV
+    with full round-trip precision: t,I,Y,truncated from the log-space scheme
+    at scheme.h, or t,I from the direct scheme if direct, drawn, stepped and
+    written in _BLOCK-step blocks. out is a file path, stdout if None; a file
+    that a failed run leaves part-written is removed."""
+    rows = _trajectory_rows(params, scheme, t_final, steps, base_seed, direct)
+    if out is None:
+        sys.stdout.writelines(rows)
+        return
+    with open(out, "w") as fh:
+        try:
+            fh.writelines(rows)
+        except BaseException:
+            os.remove(out)  # POSIX unlinks an open file
+            raise
+
+
+def _trajectory_rows(params, scheme, t_final, steps, base_seed, direct):
+    """write_trajectory's header, then the rows of each block as one string."""
+    h = t_final / steps
+    streams = PathStreams(base_seed, 0, 1)
+    yield "t,I\n" if direct else "t,I,Y,truncated\n"
+    row = "%.17g,%.17g\n" if direct else "%.17g,%.17g,%.17g,%d\n"
+    state = params.I0 if direct else math.log(params.I0)
+    for start in range(0, steps, _BLOCK):
+        n = min(_BLOCK, steps - start)
+        dw = streams.increments(n, h)
+        if direct:
+            out = milstein_evolve(state, dw, h, params, record=True)
+            state, cols = out.i_final, (out.i_snaps[0],)
+        else:
+            out = lcm_evolve(state, dw, params, scheme, record=True)
+            y = out.y_snaps[0]
+            state, cols = out.y_final, (np.exp(y), y, np.concatenate([[0], out.flags[0]]))
+        skip = 1 if start else 0  # a block's first state ended the block before
+        cols = [np.arange(start, start + n + 1) * h, *cols]
+        yield "".join(map(row.__mod__, zip(*(c[skip:].tolist() for c in cols))))

@@ -29,17 +29,14 @@ from .analysis import (
     write_dynamics_summary,
     write_error_table,
     write_rate_fit,
+    write_trajectory,
     write_truncation_table,
 )
 from .analysis import classify_dynamics  # noqa: F401  perfbench/spans.py wraps it here
 from .model import ModelParams, PreconditionError, regime_report
-from .paths import coarsen, generate
-from .schemes import (
-    SchemeParams,
-    lcm_simulate,
-    milstein_direct_simulate,
-    trajectory_to_csv,
-)
+from .paths import coarsen, generate  # noqa: F401  perfbench/spans.py wraps it here
+from .schemes import SchemeParams
+from .schemes import lcm_simulate  # noqa: F401  perfbench/spans.py wraps it here
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "parse_config",
            "serialize_config"]
@@ -250,36 +247,15 @@ def _resolve_paths(args, default):
 
 def cmd_simulate(args):
     cfg = parse_config(args.config)
-    seed = _resolve_seed(args, cfg)
     steps = _whole_steps(cfg.t_final, cfg.scheme.h, "t_final")
-    grid = generate(base_seed=seed, path_index=0, t_final=cfg.t_final,
-                    fine_steps=steps)
-    inc = coarsen(grid, 0)
-    if args.scheme == "milstein":
-        traj = milstein_direct_simulate(inc, cfg.model)
-    else:
-        traj = lcm_simulate(inc, cfg.model, cfg.scheme)
-    if args.out:
-        with open(args.out, "w") as fh:
-            trajectory_to_csv(traj, fh)
-    else:
-        trajectory_to_csv(traj, sys.stdout)
+    write_trajectory(cfg.model, cfg.scheme, cfg.t_final, steps, _resolve_seed(args, cfg),
+                     args.scheme == "milstein", args.out or None)
     return 0
 
 
 def cmd_convergence(args):
     cfg = parse_config(args.config)
     seed = _resolve_seed(args, cfg)
-    if args.self_test:
-        s = SchemeParams(h=2.0**-8, alpha=cfg.scheme.alpha, theta=cfg.scheme.theta)
-        table = strong_error(cfg.model, s, levels=[2.0**-5, 2.0**-4, 2.0**-3],
-                             n_paths=200, base_seed=seed, t_final=1.0)
-        fit = fit_rate(table)
-        ok = all(e > 0.0 for e in table.errors) and 0.5 < fit.q < 1.5
-        state = "ok" if ok else "FAILED"
-        print(f"self-test {state}: q={fit.q:.3f} over 200 paths, "
-              f"errors={['%.2e' % e for e in table.errors]}")
-        return 0 if ok else 1
     if not cfg.levels or cfg.h_reference is None:
         raise ConfigError(
             "missing [convergence] section with levels and h_reference")
@@ -384,8 +360,6 @@ def _build_parser():
     p = sub.add_parser("convergence",
                        help="coupled-path strong errors and rate fit")
     common(p)
-    p.add_argument("--self-test", action="store_true", dest="self_test",
-                   help="run a small built-in convergence check and exit")
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("dynamics",

@@ -101,7 +101,7 @@ def log_coeffs(x, p):
     x = np.asarray(x, dtype=np.float64)
     ex = np.exp(x)
     s2 = p.sigma * p.sigma
-    c0 = p.beta * p.N - p.mu_plus_gamma - 0.5 * s2 * p.N * p.N
+    c0 = _c0(p)
     fx = (-0.5 * s2 * ex + (s2 * p.N - p.beta)) * ex + c0
     gx = p.sigma * (p.N - ex)
     ggx = -s2 * ex * (p.N - ex)
@@ -129,13 +129,18 @@ def extinction_case(p):
     return ExtinctionCase.NEITHER
 
 
+def _c0(p):
+    """beta N - mu - gamma - sigma^2 N^2 / 2 = (mu + gamma)(R0^S - 1), formed as
+    lcm_evolve forms it: its sign decides the regime, so lambda agrees with it."""
+    return p.beta * p.N - p.mu_plus_gamma - 0.5 * (p.sigma * p.sigma) * p.N * p.N
+
+
 def f_max_sigma(p):
     """Upper bound of f over (-inf, log N): the almost-sure decay rate of
     log I_t / t in the extinction regime."""
-    _, r0s = reproduction_numbers(p)
-    if r0s >= 1.0:
-        raise PreconditionError(
-            f"R0^S = {r0s:g} >= 1: extinction bound requires R0^S < 1")
+    if _c0(p) >= 0.0:
+        raise PreconditionError(f"R0^S = {reproduction_numbers(p)[1]:g} >= 1: "
+                                "extinction bound requires R0^S < 1")
     case = extinction_case(p)
     if case is ExtinctionCase.SMALL_SIGMA:
         return p.beta * p.N - p.mu_plus_gamma - 0.5 * p.sigma**2 * p.N**2
@@ -146,37 +151,39 @@ def f_max_sigma(p):
         "and beta^2/(2(mu+gamma))")
 
 
-def _persistence_gap(p):
-    """N - lambda, the smaller root of u (beta - sigma^2 u / 2) = mu + gamma."""
-    _, r0s = reproduction_numbers(p)
-    if r0s <= 1.0:
-        raise PreconditionError(
-            f"R0^S = {r0s:g} <= 1: persistence level requires R0^S > 1")
-    m = p.mu_plus_gamma
-    # R0^S > 1 forces beta^2 - 2 sigma^2 (mu+gamma) >= (beta - sigma^2 N)^2 >= 0
-    return 2.0 * m / (p.beta + math.sqrt(p.beta**2 - 2.0 * p.sigma**2 * m))
+def _persistence_roots(p):
+    """lambda and N - lambda, each formed from c0 without cancellation; the
+    radicand b^2 + 2 sigma^2 c0 is beta^2 - 2 sigma^2 (mu + gamma), here > 0."""
+    c0 = _c0(p)
+    if not c0 > 0.0:
+        raise PreconditionError(f"R0^S = {reproduction_numbers(p)[1]:g} <= 1: "
+                                "persistence level requires R0^S > 1")
+    s2 = p.sigma * p.sigma
+    b = p.beta - s2 * p.N
+    root = math.sqrt(b * b + 2.0 * s2 * c0)
+    lam = 2.0 * c0 / (b + root) if b > 0.0 else (root - b) / s2
+    return lam, 2.0 * p.mu_plus_gamma / (p.beta + root)
 
 
 def persistence_lambda(p):
     """Root of beta N - mu - gamma - beta lam - sigma^2 (N - lam)^2 / 2 in (0, N).
 
-    The residual is concave in lam, positive at 0 exactly when R0^S > 1, and
-    -(mu + gamma) at N: one root is in (0, N), the other below 0. In
-    u = N - lam it reads beta u - mu - gamma - sigma^2 u^2 / 2, whose smaller
-    root (beta - sqrt(D)) / sigma^2, with D = beta^2 - 2 sigma^2 (mu + gamma),
-    equals 2 (mu + gamma) / (beta + sqrt(D)) without the cancellation; then
-    lam = N - u. That is as exact as the inputs allow: lam's condition number
-    in N is N / lam, so near R0^S = 1 its relative error is about 1e-16 N / lam.
+    The residual is concave in lam, positive at 0 exactly when R0^S > 1, that
+    is when c0 > 0, and -(mu + gamma) at N. With b = beta - sigma^2 N it reads
+    c0 - b lam - sigma^2 lam^2 / 2, whose positive root 2 c0 / (b + sqrt(D))
+    or (sqrt(D) - b) / sigma^2, D = b^2 + 2 sigma^2 c0, has no cancellation and
+    falls to 0 as R0^S falls to 1. lam's condition number in N is N / lam, so
+    near R0^S = 1 its relative error is about 1e-16 N / lam.
     """
-    return p.N - _persistence_gap(p)
+    return _persistence_roots(p)[0]
 
 
 def persistence_alpha_bound(p, h, theta):
     """Largest admissible truncation coefficient alpha for the persistence
     theorem at step size h and exponent theta: h^-theta log(N / lambda)."""
-    # log(N / lambda) = -log1p(-(N - lambda) / N), which keeps its digits
-    # where lambda is near N and the log of the rounded ratio would lose them
-    return -h**-theta * math.log1p(-_persistence_gap(p) / p.N)
+    # log1p((N - lambda) / lambda) keeps its digits at either end of (0, N)
+    lam, gap = _persistence_roots(p)
+    return h**-theta * math.log1p(gap / lam)
 
 
 @dataclass(frozen=True)
@@ -193,10 +200,11 @@ class RegimeReport:
 def regime_report(p):
     r0d, r0s = reproduction_numbers(p)
     case = extinction_case(p)
+    c0 = _c0(p)
     fmax = lam = None
-    if r0s < 1.0 and case is not ExtinctionCase.NEITHER:
+    if c0 < 0.0 and case is not ExtinctionCase.NEITHER:
         fmax = f_max_sigma(p)
-    elif r0s > 1.0:
+    elif c0 > 0.0:
         lam = persistence_lambda(p)
     return RegimeReport(r0_deterministic=r0d, r0_stochastic=r0s,
                         extinction_case=case, f_max_sigma=fmax,

@@ -9,17 +9,16 @@ step size. The direct scheme applies Milstein to I itself with no guard: it
 is expected to leave (0, N) and to overflow at coarse steps, and the
 bookkeeping here records exactly where that happens instead of hiding it.
 
-Each scheme has one batch kernel, lcm_evolve and milstein_evolve. The
-single-path functions lcm_simulate and milstein_direct_simulate are 1-row
-views of it, so a path run alone is bit-identical to the same path run as a
-row of a batch. Both kernels step in place (every operation of a step writes
-into a preallocated row) on one tile walker. Once per tile of steps it
-transposes dW to step-major order in slabs of 64 or more paths and rebuilds
-dZeta = (dW^2 - h) / 2, so that each step reads its h, dW and dZeta as one
-contiguous 3-row operand; with record=True the kernels step straight into
-one step-major array of every state. lcm_evolve steps at the scheme's h and
-takes one ModelParams per group of rows, so many parameter sets step on
-shared increments in one call.
+Each scheme has one batch kernel, lcm_evolve and milstein_evolve; the
+single-path lcm_simulate is a 1-row view of the first, so a path run alone
+is bit-identical to the same path run as a row of a batch. Both kernels step
+in place (every operation of a step writes into a preallocated row) on one
+tile walker. Once per tile of steps it transposes dW to step-major order in
+slabs of 64 or more paths and rebuilds dZeta = (dW^2 - h) / 2, so that each
+step reads its h, dW and dZeta as one contiguous 3-row operand; with
+record=True the kernels step straight into one step-major array of every
+state. lcm_evolve steps at the scheme's h and takes one ModelParams per
+group of rows, so many parameter sets step on shared increments in one call.
 """
 
 from __future__ import annotations
@@ -40,9 +39,7 @@ __all__ = [
     "Trajectory",
     "lcm_evolve",
     "lcm_simulate",
-    "milstein_direct_simulate",
     "milstein_evolve",
-    "trajectory_to_csv",
 ]
 
 
@@ -71,21 +68,13 @@ class SchemeParams:
 
 @dataclass
 class Trajectory:
-    """One simulated path plus the scheme's bookkeeping.
-
-    log_values and truncated are populated by the log-space scheme only; the
-    violation/explosion fields by the direct scheme only.
-    """
+    """One simulated path: times and I, and the log-space scheme's Y = log I."""
 
     times: np.ndarray
     values: np.ndarray
     log_values: np.ndarray | None = None
     truncated: np.ndarray | None = None
     truncation_count: int = 0
-    domain_violation: bool = False
-    violation_index: int | None = None
-    explosion_index: int | None = None
-    exploded: bool = False
 
 
 @dataclass
@@ -348,35 +337,3 @@ def milstein_evolve(i0, dw, h, p, record=False):
                                      1, record, step_tile)
     return MilsteinBatch(i_snaps=snaps, i_final=i_final, violated=violated,
                          exploded=~np.isfinite(i_final))
-
-
-def milstein_direct_simulate(inc, p):
-    """Run the direct scheme along one path, recording where it first produces
-    a forbidden state (negative, above N, or non-finite; see milstein_evolve)
-    and where it stops being finite. A 1-row view of milstein_evolve, which
-    rebuilds dZeta from inc.dW.
-    """
-    values = milstein_evolve(p.I0, inc.dW[None, :], inc.h, p, record=True).i_snaps[0]
-    outside = np.flatnonzero(~((values >= 0.0) & (values <= p.N)))
-    blown = np.flatnonzero(~np.isfinite(values))
-    violation_index = int(outside[0]) if outside.size else None
-    explosion_index = int(blown[0]) if blown.size else None
-    times = np.arange(len(values)) * inc.h
-    return Trajectory(times=times, values=values,
-                      domain_violation=violation_index is not None,
-                      violation_index=violation_index,
-                      explosion_index=explosion_index,
-                      exploded=explosion_index is not None)
-
-
-def trajectory_to_csv(traj, fh):
-    """Write a trajectory as CSV with full round-trip precision."""
-    if traj.log_values is not None:
-        fh.write("t,I,Y,truncated\n")
-        for t, i, y, flag in zip(traj.times, traj.values, traj.log_values,
-                                 traj.truncated):
-            fh.write(f"{t:.17g},{i:.17g},{y:.17g},{int(flag)}\n")
-    else:
-        fh.write("t,I\n")
-        for t, i in zip(traj.times, traj.values):
-            fh.write(f"{t:.17g},{i:.17g}\n")

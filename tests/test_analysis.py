@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 from sislab import analysis, schemes
 from sislab.model import ModelParams, persistence_alpha_bound
 from sislab.paths import PathStreams, coarsen, generate
-from sislab.schemes import SchemeParams, Trajectory, lcm_simulate, milstein_evolve
+from sislab.schemes import (
+    SchemeParams,
+    Trajectory,
+    lcm_evolve,
+    lcm_simulate,
+    milstein_evolve,
+)
 from sislab.analysis import (
     ConfigError,
     ErrorTable,
@@ -35,6 +41,7 @@ from sislab.analysis import (
     write_dynamics_summary,
     write_error_table,
     write_rate_fit,
+    write_trajectory,
     write_truncation_table,
 )
 
@@ -652,3 +659,83 @@ class TestCsvWriters:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "seed,kind,lyapunov,crossings,terminal"
         assert lines[1].startswith("0,Extinct,")
+
+
+def whole_path_csv(p, s, t_final, steps, seed, direct):
+    """write_trajectory's CSV from one whole-horizon record=True call on the
+    generate draw, formatted row by row."""
+    h = t_final / steps
+    dw = generate(seed, 0, t_final, steps).increments[None, :]
+    t = np.arange(steps + 1) * h
+    if direct:
+        i = milstein_evolve(p.I0, dw, h, p, record=True).i_snaps[0]
+        return "t,I\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, i))
+    out = lcm_evolve(math.log(p.I0), dw, p, s, record=True)
+    y = out.y_snaps[0]
+    flags = np.concatenate([[False], out.flags[0]])
+    return "t,I,Y,truncated\n" + "".join(
+        f"{a:.17g},{b:.17g},{c:.17g},{int(d)}\n"
+        for a, b, c, d in zip(t, np.exp(y), y, flags))
+
+
+class TestWriteTrajectory:
+    # (params, scheme, t_final, steps, seed, direct). At h = 2^-1 the
+    # log-space path truncates every other step, in every 7-step block; the
+    # direct path from I0 = 50 at h = 2^-10 leaves [0, N] at step 4 and turns
+    # NaN at step 13, in its second 7-step block
+    LCM = (ModelParams(N=100, beta=0.5, sigma=0.03, mu_plus_gamma=20.0, I0=10.0),
+           SchemeParams(h=0.5, alpha=0.1, theta=2.0), 12.0, 24, 0, False)
+    DIRECT = (ModelParams(N=100, beta=0.42, sigma=0.9, mu_plus_gamma=10.0, I0=50.0),
+              SchemeParams(h=2.0**-10, alpha=0.1, theta=2.0), 24 / 1024, 24, 2, True)
+
+    @staticmethod
+    def written(tmp_path, case):
+        out = tmp_path / "traj.csv"
+        write_trajectory(*case, out=str(out))
+        return out.read_text()
+
+    @pytest.mark.parametrize("block", [7, None])
+    @pytest.mark.parametrize("case", ["LCM", "DIRECT"])
+    def test_blocks_equal_one_whole_horizon_call(self, tmp_path, monkeypatch, case,
+                                                  block):
+        case = getattr(self, case)
+        if block:
+            monkeypatch.setattr(analysis, "_BLOCK", block)
+        text = self.written(tmp_path, case)
+        assert text == whole_path_csv(*case)
+        rows = [row.split(",") for row in text.splitlines()[1:]]
+        if case[-1]:
+            first_nan = next(k for k, row in enumerate(rows) if row[1] == "nan")
+            assert first_nan == 13 and rows[-1][1] == "nan"
+        else:
+            assert {row[3] for row in rows[8:15]} == {"0", "1"}
+
+    def test_lcm_layout(self, tmp_path):
+        lines = self.written(tmp_path, (P_CONV1, SchemeParams(h=0.125, alpha=0.1,
+                                                               theta=2.0),
+                                        0.5, 4, 1, False)).splitlines()
+        assert lines[0] == "t,I,Y,truncated"
+        assert len(lines) == 6
+        first = lines[1].split(",")
+        assert float(first[0]) == 0.0
+        assert float(first[1]) == 1.0
+        assert first[3] == "0"
+
+    def test_milstein_layout(self, tmp_path):
+        lines = self.written(tmp_path, (P_CONV1, SchemeParams(h=0.125, alpha=0.1,
+                                                               theta=2.0),
+                                        0.5, 4, 1, True)).splitlines()
+        assert lines[0] == "t,I"
+        assert len(lines) == 6
+
+    def test_seventeen_digit_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(analysis, "_BLOCK", 7)
+        p, s, t_final, steps, seed, _ = self.LCM
+        table = np.loadtxt(io.StringIO(self.written(tmp_path, self.LCM)),
+                           delimiter=",", skiprows=1)
+        out = lcm_evolve(math.log(p.I0), generate(seed, 0, t_final, steps)
+                         .increments[None, :], p, s, record=True)
+        np.testing.assert_array_equal(table[:, 2], out.y_snaps[0])
+        np.testing.assert_array_equal(table[:, 1], np.exp(out.y_snaps[0]))
+        np.testing.assert_array_equal(table[:, 0], np.arange(steps + 1) * 0.5)
+

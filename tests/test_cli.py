@@ -455,6 +455,41 @@ class TestSimulate:
         out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
         assert main(["simulate", "--config", path, "--out", out]) == 3
 
+    @pytest.mark.parametrize("block", [7, None])
+    @pytest.mark.parametrize("scheme", ["lcm", "milstein"])
+    def test_no_kernel_call_steps_more_than_a_block(self, tmp_path, monkeypatch,
+                                                   scheme, block):
+        # 8,192 steps: two default blocks, or 1,171 blocks of 7
+        if block:
+            monkeypatch.setattr(analysis, "_BLOCK", block)
+        calls = []
+        for name in ("lcm_evolve", "milstein_evolve"):
+            def spy(state, dw, *args, _kernel=getattr(analysis, name), **kwargs):
+                calls.append(dw.shape[1])
+                return _kernel(state, dw, *args, **kwargs)
+            monkeypatch.setattr(analysis, name, spy)
+        path = write_cfg(tmp_path, CONV_CFG.replace("h = 2^-6", "h = 2^-13"))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", path, "--scheme", scheme,
+                     "--out", str(out)]) == 0
+        assert sum(calls) == 8192
+        assert max(calls) <= analysis._BLOCK
+        assert len(calls) == -(-8192 // analysis._BLOCK)
+        assert len(out.read_text().splitlines()) == 8194
+
+    @pytest.mark.parametrize("block", [100, None])
+    def test_failed_run_leaves_no_file(self, tmp_path, capsys, monkeypatch, block):
+        # Y leaves float64 at step 343: in 100-step blocks, 300 steps' rows are
+        # written before the run fails
+        if block:
+            monkeypatch.setattr(analysis, "_BLOCK", block)
+        path = write_cfg(tmp_path, HUGE_DRIFT_CFG)
+        out = tmp_path / "traj.csv"
+        out.write_text("an older trajectory\n")
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("precondition error: ")
+        assert not out.exists()
+
     def test_paths_flag_is_usage_error(self, tmp_path, capsys):
         # simulate writes one path: it took --paths and ignored it, so even
         # --paths -3 exited 0
@@ -500,13 +535,6 @@ class TestConvergence:
         a = (out1 / "error_table.csv").read_bytes()
         b = (out2 / "error_table.csv").read_bytes()
         assert a != b
-
-    def test_self_test(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, CONV_CFG)
-        assert main(["convergence", "--config", path, "--self-test"]) == 0
-        out = capsys.readouterr().out
-        assert "self-test ok" in out
-        assert "q=" in out
 
 
 class TestDynamics:

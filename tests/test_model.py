@@ -5,6 +5,8 @@ tools/derive_oracles.py (mpmath, 50 digits) before the implementation existed.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -26,6 +28,7 @@ from sislab.model import (
     regime_report,
     reproduction_numbers,
 )
+from sislab.cli import main
 
 # parameter sets used throughout (convergence ex. 1, extinction ex., persistence ex.)
 P_CONV1 = ModelParams(N=10, beta=0.5, sigma=0.2, mu_plus_gamma=4.0, I0=1.0)
@@ -243,6 +246,69 @@ class TestClosedFormAccuracy:
             bound = 16 * mpmath.log(n / lam)  # h = 1/4, theta = 2
             assert abs(persistence_lambda(p) / lam - 1) <= 1e-12
             assert abs(persistence_alpha_bound(p, h=0.25, theta=2.0) / bound - 1) <= 1e-12
+
+
+# R0^S computes as 1.0000000000000002 and c0 as 0.0 here, with beta within an
+# ulp of sigma^2 N; the square root of the radicand -1.08e-19 made
+# `sis-lab dynamics` exit 1
+AT_THRESHOLD = ModelParams(N=7.905563492230587, beta=0.026095940340185128,
+                           sigma=0.05745397220061691,
+                           mu_plus_gamma=0.10315155662439748, I0=1.0)
+
+
+@st.composite
+def threshold_sets(draw):
+    """Models within a few ulps of the computed threshold R0^S = 1: mu + gamma
+    is beta N - sigma^2 N^2 / 2 in floats, moved by -4 .. 4 ulps, and beta is
+    sigma^2 N, where the persistence root's linear coefficient vanishes, or
+    0.55 .. 4 times it."""
+    n = draw(log_uniform(1.5, 1e4))
+    sigma = draw(log_uniform(1e-3, 1.0)) / math.sqrt(n)
+    s2 = sigma * sigma
+    beta = s2 * n * draw(st.one_of(st.just(1.0), st.floats(0.55, 4.0)))
+    mug = beta * n - 0.5 * s2 * n * n
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        mug = math.nextafter(mug, math.copysign(math.inf, ulps))
+    return ModelParams(N=n, beta=beta, sigma=sigma, mu_plus_gamma=mug, I0=n / 2)
+
+
+class TestRegimeThreshold:
+    """The regime decision and lambda agree in floating point at R0^S = 1."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(threshold_sets())
+    @example(AT_THRESHOLD)
+    def test_lambda_in_domain_and_bound_positive(self, p):
+        lam = regime_report(p).persistence_lambda
+        if lam is None:
+            with pytest.raises(PreconditionError):
+                persistence_alpha_bound(p, h=0.25, theta=2.0)
+            return
+        assert 0.0 < lam < p.N
+        assert lam == persistence_lambda(p)
+        for h in (2.0**-10, 0.25, 4.0):
+            bound = persistence_alpha_bound(p, h=h, theta=2.0)
+            assert math.isfinite(bound) and bound > 0.0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(threshold_sets())
+    @example(AT_THRESHOLD)
+    def test_dynamics_exits_0_or_4(self, p):
+        text = (f"[model]\nN = {p.N!r}\nbeta = {p.beta!r}\nsigma = {p.sigma!r}\n"
+                f"mu_plus_gamma = {p.mu_plus_gamma!r}\nI0 = {p.I0!r}\n\n"
+                "[scheme]\nh = 2^-2\nalpha = 0.1\ntheta = 2\n\n"
+                "[run]\nt_final = 1\nn_paths = 2\nbase_seed = 7\n\n"
+                "[dynamics]\nstep_sizes = 2^-2\nn_seeds = 2\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "exp.cfg"
+            cfg.write_text(text)
+            assert main(["dynamics", "--config", str(cfg), "--out", tmp]) in (0, 4)
+
+    def test_set_at_threshold_is_in_neither_regime(self):
+        assert reproduction_numbers(AT_THRESHOLD)[1] > 1.0
+        rep = regime_report(AT_THRESHOLD)
+        assert rep.persistence_lambda is None and rep.f_max_sigma is None
 
 
 class TestPersistenceAlphaBound:

@@ -6,7 +6,6 @@ Hand-substitution oracles were derived in tools/derive_oracles.py before the
 steppers were written.
 """
 
-import io
 import math
 from dataclasses import replace
 
@@ -23,16 +22,8 @@ from sislab.model import (
     drift_original,
     log_coeffs,
 )
-from sislab.paths import LevyIncrements, coarsen, generate
-from sislab.schemes import (
-    SchemeParams,
-    Trajectory,
-    lcm_evolve,
-    lcm_simulate,
-    milstein_direct_simulate,
-    milstein_evolve,
-    trajectory_to_csv,
-)
+from sislab.paths import PathStreams, coarsen, generate
+from sislab.schemes import SchemeParams, lcm_evolve, lcm_simulate, milstein_evolve
 
 P_CONV1 = ModelParams(N=10, beta=0.5, sigma=0.2, mu_plus_gamma=4.0, I0=1.0)
 P_EXT = ModelParams(N=100, beta=0.42, sigma=0.9, mu_plus_gamma=10.0, I0=90.0)
@@ -687,49 +678,50 @@ class TestMilsteinEvolveTiles:
         assert not out.violated.any()
 
 
+def recorded_milstein(dw, h, p):
+    """One direct-Milstein path's every state, with the first step that leaves
+    [0, N] and the first that is not finite (None where there is none)."""
+    values = milstein_evolve(p.I0, dw[None, :], h, p, record=True).i_snaps[0]
+    outside = np.flatnonzero(~((values >= 0.0) & (values <= p.N)))
+    blown = np.flatnonzero(~np.isfinite(values))
+    return (values, int(outside[0]) if outside.size else None,
+            int(blown[0]) if blown.size else None)
+
+
 class TestMilsteinSimulate:
+    """Single direct-Milstein paths, as milstein_evolve(record=True) records them."""
+
     def test_violation_fraction_at_coarse_step(self):
         # Monte Carlo oracle (scaled down from the acceptance run): the unguarded
         # scheme leaves (0, N) on most paths at h = 2^-2
-        s_h = 0.25
-        violated = 0
-        for idx in range(32):
-            grid = generate(base_seed=5150, path_index=idx, t_final=5.0, fine_steps=20)
-            traj = milstein_direct_simulate(coarsen(grid, 0), P_EXT)
-            violated += traj.domain_violation
-        assert violated > 16
+        dw = PathStreams(5150, 0, 32).increments(20, 0.25)
+        assert milstein_evolve(P_EXT.I0, dw, 0.25, P_EXT).violated.sum() > 16
 
     def test_explosion_freezes_trajectory(self):
         # force explosion with a handcrafted increment sequence
         big = np.array([50.0, 50.0, 50.0, 50.0, 0.0, 0.0])
-        inc = LevyIncrements(h=0.25, dW=big)
-        traj = milstein_direct_simulate(inc, P_EXT)
-        assert traj.exploded
-        assert traj.domain_violation
-        k = traj.explosion_index
+        values, violation, k = recorded_milstein(big, 0.25, P_EXT)
         assert k is not None and k >= 1
-        assert np.all(np.isnan(traj.values[k:]))
-        assert np.all(np.isfinite(traj.values[:k]))
-        assert traj.violation_index <= k
+        assert np.all(np.isnan(values[k:]))
+        assert np.all(np.isfinite(values[:k]))
+        assert violation is not None and violation <= k
 
     def test_continues_after_finite_violation(self):
         # the iterate leaves (0,N) long before it overflows: stepping must keep
         # going through the finite-but-invalid stretch and only freeze at the
         # first non-finite state
-        inc = LevyIncrements(h=0.25, dW=np.zeros(12))
-        traj = milstein_direct_simulate(inc, P_EXT)
-        assert traj.domain_violation and traj.exploded
-        assert traj.violation_index < traj.explosion_index
-        gap = slice(traj.violation_index, traj.explosion_index)
-        assert np.all(np.isfinite(traj.values[gap]))
-        assert np.all(np.isnan(traj.values[traj.explosion_index:]))
+        values, violation, explosion = recorded_milstein(np.zeros(12), 0.25, P_EXT)
+        assert violation is not None and explosion is not None
+        assert violation < explosion
+        assert np.all(np.isfinite(values[violation:explosion]))
+        assert np.all(np.isnan(values[explosion:]))
 
     def test_fine_step_tracks_domain(self):
         grid = generate(base_seed=77, path_index=0, t_final=1.0, fine_steps=2**10)
-        traj = milstein_direct_simulate(coarsen(grid, 0), P_CONV1)
-        assert not traj.domain_violation
-        assert not traj.exploded
-        assert traj.log_values is None
+        out = milstein_evolve(P_CONV1.I0, grid.increments[None, :], grid.h_fine,
+                              P_CONV1, record=True)
+        assert not out.violated.any() and not out.exploded.any()
+        assert np.all((out.i_snaps > 0.0) & (out.i_snaps < P_CONV1.N))
 
     @pytest.mark.parametrize("i0", sorted(MILSTEIN_EXIT_H14))
     def test_one_step_exit_frequency_matches_closed_form(self, i0):
@@ -749,12 +741,8 @@ class TestMilsteinSimulate:
         dw = np.vstack([generate(13, i, 1.0, 16).increments for i in range(3)])
         out = milstein_evolve(P_EXT.I0, dw, 1.0 / 16, P_EXT, record=True)
         for i in range(3):
-            inc = LevyIncrements(h=1.0 / 16, dW=dw[i])
-            traj = milstein_direct_simulate(inc, P_EXT)
-            got = out.i_snaps[i]
-            mask = np.isfinite(traj.values)
-            np.testing.assert_array_equal(got[mask], traj.values[mask])
-            np.testing.assert_array_equal(np.isnan(got), np.isnan(traj.values))
+            values = recorded_milstein(dw[i], 1.0 / 16, P_EXT)[0]
+            np.testing.assert_array_equal(out.i_snaps[i], values)  # NaN equals NaN
 
 
 class TestDomainPreservationProperty:
@@ -854,36 +842,3 @@ class TestDomainProperty:
         np.testing.assert_array_equal(b.i_final, whole.i_final)
         np.testing.assert_array_equal(a.violated | b.violated, whole.violated)
         np.testing.assert_array_equal(a.exploded | b.exploded, whole.exploded)
-
-
-class TestTrajectoryCsv:
-    def test_lcm_layout(self):
-        grid = generate(1, 0, 0.5, 4)
-        s = SchemeParams(h=grid.h_fine, alpha=0.1, theta=2.0)
-        traj = lcm_simulate(grid, P_CONV1, s)
-        buf = io.StringIO()
-        trajectory_to_csv(traj, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,I,Y,truncated"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[1]) == 1.0
-        assert first[3] == "0"
-
-    def test_milstein_layout(self):
-        grid = generate(1, 0, 0.5, 4)
-        traj = milstein_direct_simulate(coarsen(grid, 0), P_CONV1)
-        buf = io.StringIO()
-        trajectory_to_csv(traj, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,I"
-        assert len(lines) == 6
-
-    def test_seventeen_digit_round_trip(self):
-        traj = Trajectory(times=np.array([0.0, 0.1]),
-                          values=np.array([1.0 / 3.0, 2.0 / 3.0]))
-        buf = io.StringIO()
-        trajectory_to_csv(traj, buf)
-        row = buf.getvalue().splitlines()[1].split(",")
-        assert float(row[1]) == 1.0 / 3.0

@@ -1,9 +1,12 @@
-"""The dev tools under tools/ use only sislab's public names.
+"""The dev tools under tools/ and the demos under demos/ use only sislab's
+public names.
 
 Most tools take minutes, so no test runs them, and a private helper they
 import could be renamed or deleted without any test noticing. This parses
-them instead and fails on any ``from sislab... import _name``. The kernel
-width sweep is fast at a tiny size, so it also runs here.
+them instead and fails on any ``from sislab... import _name``; the demos call
+the kernels directly, so the same check keeps them off private names such as
+the experiments' block length. The kernel width sweep is fast at a tiny size,
+so it also runs here.
 """
 
 import ast
@@ -16,9 +19,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = sorted((ROOT / "tools").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", TOOLS, ids=lambda p: p.name)
+@pytest.mark.parametrize("script", TOOLS + DEMOS, ids=lambda p: p.name)
 def test_tool_imports_only_public_names(script):
     tree = ast.parse(script.read_text(), filename=str(script))
     private = [f"{node.module}.{alias.name}"
