@@ -13,9 +13,10 @@ block only the sign changes its verdicts count.
 
 Each experiment's chunk loop is one module-level worker per _CHUNK paths,
 handed that chunk's streams by one walker, _over_chunks. A large run cuts
-0 .. n_paths into one contiguous range per available core and walks them in
-forked worker processes; the per-chunk results are joined in path-index
-order before one reduction. The chunk size, the time blocks and the number
+0 .. n_paths into one contiguous range per available core and walks each in
+a child process of its own, forked with os.fork, which pickles its
+per-chunk results back through a pipe; they are joined in path-index order
+before one reduction. The chunk size, the time blocks and the number
 of worker processes change memory use and wall time, never the numbers.
 
 Argument checks that a config can trip raise ConfigError, a ValueError the
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,10 +112,15 @@ _CHUNK = 1024  # paths per chunk, whose streams are drawn and stepped together
 # a scaled copy and, while transposing, the draw; a recording dynamics_verdicts
 # chunk a block and its recording (1,024 seeds peak at 106 MB in one process).
 _BLOCK = 4096
-# Kernel row-steps below which a run stays in this process. Starting a
-# fork-context pool of two workers, feeding it and joining it took 11-15 ms
-# (2-core x86-64, Python 3.11); at the experiments' cheapest 25-30 ns per
-# row-step, half of 2M row-steps is 25-30 ms, so sharding repays it twice.
+# Rows of a block whose coarse sums strong_error forms for every level in
+# turn, while the 32 x 4,096 slice (1 MiB) is in cache: configs/ex5_1.cfg's
+# five levels of a 512 x 4,096 block, summed after its reference run, took
+# 9.3-9.6 ms (medians) against 11.0 ms level by level (2-core x86-64).
+_SUM_ROWS = 32
+# Kernel row-steps below which a run stays in this process. Forking two
+# workers, reading their results back and reaping them took 4.5-9 ms (2-core
+# x86-64, Python 3.11); at the experiments' cheapest 25-30 ns per row-step,
+# half of 2M row-steps is 25-30 ms, so sharding repays it three times over.
 _SHARD_FLOOR = 2_000_000
 
 
@@ -125,27 +133,89 @@ def _over_chunks(worker, n_paths, base_seed, row_steps, *args):
     0 .. n_paths - 1, in path-index order.
 
     A run of at least _SHARD_FLOOR row-steps is cut into one contiguous range
-    per available core, each walked in a forked worker process; a worker's
-    exception is raised here. Anything smaller, or a process that cannot fork
-    safely (no fork start method, or other threads running), is walked here.
+    per available core, each walked in a child forked by _fork_walk; this
+    process walks none of them, and reads the children's results back in
+    range order. A worker's exception is raised here, with the worker's
+    traceback as its cause, and a child that dies without a result is a
+    RuntimeError naming its range. Every child is reaped before the call
+    returns or raises, the rest killed first on a failure or an interrupt.
+    Anything smaller, or a process that cannot fork safely (no os.fork, or
+    other threads running), is walked here.
     """
     if n_paths < 1:
         raise ConfigError(f"n_paths must be positive, got {n_paths!r}")
     n = min(_cores(), n_paths)
-    if n > 1 and row_steps >= _SHARD_FLOOR:
-        import multiprocessing  # imported here: it costs start-up time
-        import threading
-        from concurrent.futures import ProcessPoolExecutor
+    if (n > 1 and row_steps >= _SHARD_FLOOR and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        cuts = [n_paths * k // n for k in range(n + 1)]
+        children, results = [], []  # children: (lo, hi, pid, pipe), unreaped
+        try:
+            for lo, hi in zip(cuts, cuts[1:]):
+                children.append((lo, hi, *_fork_walk(lo, hi, worker, base_seed, *args)))
+            while children:
+                lo, hi, pid, pipe = children[0]
+                with pipe:
+                    sent = pipe.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children.pop(0)
+                if code != 0 or not sent:
+                    raise RuntimeError(f"the worker for paths {lo} .. {hi - 1} "
+                                       f"exited with code {code} without a result")
+                value, trace = pickle.loads(sent)
+                if trace is not None:
+                    raise value from _WorkerTraceback(trace)
+                results += value
+            return results
+        finally:
+            if children:  # a failure or an interrupt: no child may outlive the call
+                from signal import SIGKILL
 
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1):
-            cuts = [n_paths * k // n for k in range(n + 1)]
-            with ProcessPoolExecutor(
-                    n, mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = [pool.submit(_walk_chunks, lo, hi, worker, base_seed, *args)
-                           for lo, hi in zip(cuts, cuts[1:])]
-                return [r for f in futures for r in f.result()]
+                for *_, pid, pipe in children:
+                    pipe.close()
+                    os.kill(pid, SIGKILL)
+                for *_, pid, _ in children:
+                    os.waitpid(pid, 0)
     return _walk_chunks(0, n_paths, worker, base_seed, *args)
+
+
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked worker,
+    set as the cause of that exception when it is raised again here."""
+
+
+def _fork_walk(lo, hi, worker, base_seed, *args):
+    """Fork a child that walks paths lo .. hi - 1, writes (their results,
+    None) or (its exception, the formatted traceback), pickled, into a pipe of
+    its own and leaves through os._exit; returns the child's pid and that
+    pipe's read end, as a file. An exception that cannot be pickled is sent
+    as a RuntimeError that quotes it."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    code = 1
+    try:
+        try:
+            sent = pickle.dumps((_walk_chunks(lo, hi, worker, base_seed, *args), None))
+        except BaseException as exc:
+            import traceback
+
+            trace = traceback.format_exc()
+            try:
+                sent = pickle.dumps((exc, trace))
+            except Exception:  # an exception pickle cannot send: send its repr
+                sent = pickle.dumps((RuntimeError(f"{exc!r}, not picklable"), trace))
+        with open(w, "wb") as pipe:
+            pipe.write(sent)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _walk_chunks(lo, hi, worker, base_seed, *args):
@@ -200,12 +270,20 @@ def _strong_error_chunk(streams, params, scheme_ref, schemes, ratios,
     for start in range(0, fine_steps, block):
         dwf = streams.increments(min(block, fine_steps - start),
                                  t_final / fine_steps)
-        y_ref = lcm_evolve(y_ref, dwf, params, scheme_ref).y_final
-        for li, (s, r) in enumerate(zip(schemes, ratios)):
-            # contiguous cell sums: any other summation axis changes bits
-            dwl = dwf if r == 1 else dwf.reshape(len(dwf), -1, r).sum(axis=2)
-            y_lev[li] = lcm_evolve(y_lev[li], dwl, params, s).y_final
-        dwf = dwl = None  # release this block before drawing the next
+        y_ref = lcm_evolve(y_ref, dwf, params, scheme_ref, steps_done=start).y_final
+        # contiguous cell sums (any other summation axis changes bits), every
+        # level's from one slice of rows while that slice is in cache
+        sums = [dwf if r == 1 else np.empty((len(dwf), dwf.shape[1] // r))
+                for r in ratios]
+        for r0 in range(0, len(dwf), _SUM_ROWS):
+            rows = dwf[r0:r0 + _SUM_ROWS]
+            for r, dwl in zip(ratios, sums):
+                if r > 1:
+                    rows.reshape(len(rows), -1, r).sum(axis=2, out=dwl[r0:r0 + _SUM_ROWS])
+        for li, (s, r, dwl) in enumerate(zip(schemes, ratios, sums)):
+            y_lev[li] = lcm_evolve(y_lev[li], dwl, params, s,
+                                   steps_done=start // r).y_final
+        dwf = sums = dwl = None  # release this block before drawing the next
     iref = np.exp(y_ref)
     gap2 = np.empty((len(schemes), len(streams)))
     for li, y in enumerate(y_lev):
@@ -297,7 +375,7 @@ def _truncation_chunk(streams, groups, schemes, steps, horizon):
             if n <= start:
                 continue
             dw = np.multiply(z[:n - start], math.sqrt(horizon / n), out=buf[:n - start])
-            out = lcm_evolve(states[k], dw.T, groups, s)
+            out = lcm_evolve(states[k], dw.T, groups, s, steps_done=start)
             states[k] = out.y_final
             counts[k] += out.trunc_counts.reshape(len(groups), -1).sum(axis=1)
         z = None  # release this block before drawing the next
@@ -407,7 +485,7 @@ def _dynamics_chunk(streams, params, scheme, steps, h):
     for start in range(0, steps, _BLOCK):
         n = min(_BLOCK, steps - start)
         out = lcm_evolve(y, streams.increments(n, h), params, scheme,
-                         record=level is not None)
+                         record=level is not None, steps_done=start)
         y = out.y_final
         if level is not None and start + n >= tail:
             # the block's tail states, in place, led by the carried signs
@@ -490,7 +568,7 @@ def _trajectory_rows(params, scheme, t_final, steps, base_seed, direct):
             out = milstein_evolve(state, dw, h, params, record=True)
             state, cols = out.i_final, (out.i_snaps[0],)
         else:
-            out = lcm_evolve(state, dw, params, scheme, record=True)
+            out = lcm_evolve(state, dw, params, scheme, record=True, steps_done=start)
             y = out.y_snaps[0]
             state, cols = out.y_final, (np.exp(y), y, np.concatenate([[0], out.flags[0]]))
         skip = 1 if start else 0  # a block's first state ended the block before

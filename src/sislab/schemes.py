@@ -158,7 +158,7 @@ def _walk_tiles(start, dw, h, groups, record, step_tile):
     return (states.T if record else None), states[-1 if record else 0].copy()
 
 
-def lcm_evolve(y0, dw, p, s, record=False):
+def lcm_evolve(y0, dw, p, s, record=False, steps_done=0):
     """Evolve a batch of log-space paths from y0, one start state per row or
     a scalar shared by all rows, at the scheme's step s.h.
 
@@ -173,7 +173,9 @@ def lcm_evolve(y0, dw, p, s, record=False):
     A run split at any step and resumed from y_final equals one call bit for
     bit (trunc_counts add up), so callers may feed increments in time blocks.
     Non-finite start states or increments raise ValueError, and a state that
-    leaves float64 raises PreconditionError naming its row and step.
+    leaves float64 raises PreconditionError naming its row and step, counted
+    from the start of the run: steps_done is the steps the run took before
+    this call.
 
     Each step is np.exp plus log_coeffs' operations, in its order and
     grouping, and the Milstein update ((y + f h) + g dW) + g g' dZeta, each a
@@ -214,7 +216,7 @@ def lcm_evolve(y0, dw, p, s, record=False):
     hit_rows = np.empty((steps if record else _tile_steps(n_rows, steps), n_rows), bool)
     # ufuncs with the output as third argument, cheaper to call than out=
     exp, mul, add, sub, ge = np.exp, np.multiply, np.add, np.subtract, np.greater_equal
-    done = [0]  # steps of the tiles before this one
+    done = [steps_done]  # steps of the run before this tile
     views = []
 
     def step_tile(k, states, m):

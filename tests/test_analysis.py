@@ -9,8 +9,10 @@ fit because the published one used unrounded errors.
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -279,9 +281,9 @@ class TestTruncationTable:
         calls = []
         evolve = analysis.lcm_evolve
 
-        def counting(y0, dw, p, s, record=False):
+        def counting(y0, dw, p, s, record=False, **kwargs):
             calls.append((s.h, dw.shape))
-            return evolve(y0, dw, p, s, record)
+            return evolve(y0, dw, p, s, record, **kwargs)
 
         monkeypatch.setattr(analysis, "lcm_evolve", counting)
         monkeypatch.setattr(analysis, "_cores", lambda: 1)  # stay in this process
@@ -369,6 +371,12 @@ class TestMilsteinViolationFraction:
         assert frac == 0.0
 
 
+def assert_no_children():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestShardedRuns:
     """Runs cut into contiguous path ranges over forked worker processes
     equal the in-process run bit for bit, for even and uneven cuts and for
@@ -376,17 +384,15 @@ class TestShardedRuns:
 
     @pytest.fixture
     def submitted(self, monkeypatch):
-        """The (lo, hi) ranges handed to a worker pool, in submission order."""
-        from concurrent.futures import ProcessPoolExecutor
-
+        """The (lo, hi) ranges handed to forked workers, in fork order."""
         seen = []
-        submit = ProcessPoolExecutor.submit
+        fork_walk = analysis._fork_walk
 
-        def counting(pool, fn, lo, hi, *args):
+        def counting(lo, hi, *args):
             seen.append((lo, hi))
-            return submit(pool, fn, lo, hi, *args)
+            return fork_walk(lo, hi, *args)
 
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
+        monkeypatch.setattr(analysis, "_fork_walk", counting)
         return seen
 
     @staticmethod
@@ -462,10 +468,93 @@ class TestShardedRuns:
 
         monkeypatch.setattr(analysis, "lcm_evolve", fault)
         self.shard(monkeypatch, 2)
-        with pytest.raises(ValueError, match="injected fault"):
+        with pytest.raises(ValueError, match="injected fault") as info:
             truncation_table([P_EXT], I0s=[10.0], hs=[0.5], n_paths=8,
                              horizon=5.0, base_seed=3)
         assert len(submitted) == 2
+        # the cause is the worker's own traceback, down to the faulting call
+        assert isinstance(info.value.__cause__, analysis._WorkerTraceback)
+        assert "in fault" in str(info.value.__cause__)
+        assert_no_children()
+
+    @staticmethod
+    def paths_as_ranges(monkeypatch):
+        """Hand each chunk worker its (lo, hi) instead of its streams."""
+        monkeypatch.setattr(analysis, "PathStreams", lambda seed, lo, hi: (lo, hi))
+
+    def test_results_join_in_range_order(self, submitted, monkeypatch):
+        self.paths_as_ranges(monkeypatch)
+        self.shard(monkeypatch, 2, chunk=3)
+        assert analysis._over_chunks(lambda paths: paths, 8, 0, 0) == [
+            (0, 3), (3, 4), (4, 7), (7, 8)]
+        assert submitted == [(0, 4), (4, 8)]
+        assert_no_children()
+
+    def test_worker_that_dies_is_an_error_naming_its_range(self, submitted,
+                                                           monkeypatch):
+        # the second range's child exits without sending a result
+        def worker(paths):
+            if paths[0] >= 4:
+                os._exit(3)
+            return paths
+
+        self.paths_as_ranges(monkeypatch)
+        self.shard(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"paths 4 \.\. 7 exited with code 3"):
+            analysis._over_chunks(worker, 8, 0, 0)
+        assert submitted == [(0, 4), (4, 8)]
+        assert_no_children()
+
+    def test_unpicklable_exception_reaches_caller(self, monkeypatch):
+        # a class local to this test cannot be pickled back: it arrives as a
+        # RuntimeError that quotes it, still caused by the worker's traceback
+        class LocalFault(Exception):
+            pass
+
+        def worker(paths):
+            raise LocalFault("not sent")
+
+        self.paths_as_ranges(monkeypatch)
+        self.shard(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"LocalFault\('not sent'\)") as info:
+            analysis._over_chunks(worker, 8, 0, 0)
+        assert "in worker" in str(info.value.__cause__)
+        assert_no_children()
+
+    def test_failure_kills_the_other_workers(self, monkeypatch):
+        # the first range's child dies while the second's would sleep on
+        def worker(paths):
+            if paths[0] < 4:
+                os._exit(3)
+            time.sleep(60)
+
+        self.paths_as_ranges(monkeypatch)
+        self.shard(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"paths 0 \.\. 3 exited with code 3"):
+            analysis._over_chunks(worker, 8, 0, 0)
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_interrupt_kills_every_worker(self, monkeypatch):
+        # an interrupt while the parent waits on its children's pipes; a
+        # forked child inherits no timer, so only the parent is interrupted
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        self.paths_as_ranges(monkeypatch)
+        self.shard(monkeypatch, 2)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                analysis._over_chunks(lambda paths: time.sleep(60), 8, 0, 0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        assert_no_children()
 
     def test_small_runs_stay_in_process(self, submitted, monkeypatch):
         # criterion 6's coarse run: 1,000 paths x 20 steps is below the floor
@@ -607,9 +696,9 @@ class TestDynamicsVerdicts:
         calls = []
         evolve = analysis.lcm_evolve
 
-        def counting(y0, dw, p, s, record=False):
+        def counting(y0, dw, p, s, record=False, **kwargs):
             calls.append(dw.shape)
-            return evolve(y0, dw, p, s, record)
+            return evolve(y0, dw, p, s, record, **kwargs)
 
         monkeypatch.setattr(analysis, "lcm_evolve", counting)
         monkeypatch.setattr(analysis, "_cores", lambda: 1)  # stay in this process

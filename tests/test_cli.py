@@ -235,14 +235,27 @@ def run_python(script):
 
 
 def test_import_leaves_process_pools_out():
-    # the path-range pool's modules load only when a run is sharded, so they
-    # cost no start-up time
+    # the path-range workers are forked with os.fork and send their results
+    # through pipes, so neither importing sislab nor a sharded run loads a
+    # process pool's modules
     proc = run_python("import sys\n"
                       "import sislab.cli\n"
-                      "print(sorted({'multiprocessing', 'concurrent.futures'}"
-                      " & set(sys.modules)))\n")
+                      "pools = {'multiprocessing', 'concurrent.futures'}\n"
+                      "print(sorted(pools & set(sys.modules)))\n"
+                      "from sislab import analysis\n"
+                      "from sislab.model import ModelParams\n"
+                      "analysis._cores = lambda: 2\n"
+                      "analysis._SHARD_FLOOR = 0\n"
+                      "import os\n"
+                      "forks, fork = [], os.fork\n"
+                      "os.fork = lambda: forks.append(1) or fork()\n"
+                      "p = ModelParams(N=100, beta=0.5, sigma=0.03, mu_plus_gamma=45,"
+                      " I0=50)\n"
+                      "analysis.milstein_violation_fraction(p, h=0.25, t_final=5.0,"
+                      " n_paths=4, base_seed=1)\n"
+                      "print(len(forks), sorted(pools & set(sys.modules)))\n")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", "2 []"]  # a sharded run
 
 
 class TestCliErrors:
@@ -393,22 +406,28 @@ class TestCliErrors:
                   f"sys.exit(main({argv!r}))\n")
         proc = run_python(script)
         assert proc.returncode == 1
-        assert "_RemoteTraceback" in proc.stderr  # raised in a worker
+        # the worker's own traceback, down to the faulting call
+        assert "in _truncation_chunk" in proc.stderr
+        assert "in fault" in proc.stderr
         assert "ValueError: injected fault" in proc.stderr
         assert "config error" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["simulate", "convergence"])
     def test_state_leaving_float64_is_precondition_error(self, tmp_path, capsys,
                                                          command):
-        # Y reached -inf with exit 0 (simulate wrote I = 0, Y = -inf rows)
-        path = write_cfg(tmp_path, HUGE_DRIFT_CFG)
-        out = tmp_path / "o"
-        assert main([command, "--config", path, "--out", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("precondition error: ")
-        assert "row 0 from step 343 on" in err
-        assert "Traceback" not in err
-        assert not (out / "error_table.csv").exists()
+        # Y reached -inf with exit 0 (simulate wrote I = 0, Y = -inf rows); at
+        # h = 2^16 it leaves in the second time block, and the step is counted
+        # from the start of the run (step 1391 of that block's kernel call)
+        for h, coarse, step in [("2^20", "2^21", 343), ("2^16", "2^17", 5487)]:
+            path = write_cfg(tmp_path, HUGE_DRIFT_CFG.replace("2^21", coarse)
+                             .replace("2^20", h))
+            out = tmp_path / f"o{step}"
+            assert main([command, "--config", path, "--out", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("precondition error: ")
+            assert f"row 0 from step {step} on" in err
+            assert "Traceback" not in err
+            assert not (out / "error_table.csv").exists()
 
     def test_gap_regime_dynamics_is_precondition_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DYN_GAP_CFG)

@@ -523,6 +523,9 @@ class TestNonFiniteInput:
             lcm_evolve(y0, dw[:, :343], huge, s, record=record)
         with pytest.raises(PreconditionError, match="row 3 from step 343 on"):
             lcm_evolve(y0, dw, [P_CONV1, huge], s, record=record)
+        # a run fed in blocks names the step from its start
+        with pytest.raises(PreconditionError, match="row 0 from step 1343 on"):
+            lcm_evolve(y0, dw, huge, s, record=record, steps_done=1000)
 
 
 def milstein_one_step(i, dw, p, h):
