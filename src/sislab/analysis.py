@@ -4,12 +4,14 @@ classification, and truncation-frequency tables.
 Everything here is deterministic given (base_seed, n_paths): paths are keyed
 by absolute path index, partial results land in preallocated per-path arrays,
 and reductions run once over those arrays in index order. Each path's stream
-is drawn once, forward in _BLOCK-step time blocks, and stepped in one call
-per step size and time block; the kernels carry their per-row states from
-block to block, so memory per chunk is bounded by chunk times block whatever
-the horizon. Parameter sets on shared increments (truncation_table) step as
-parameter groups of those calls, and dynamics_verdicts keeps of each recorded
-block only the sign changes its verdicts count.
+is drawn once, forward in time blocks, and stepped in one call per step size
+and time block; the kernels carry their per-row states from block to block,
+so memory per chunk is bounded by chunk times block whatever the horizon.
+The blocks are _BLOCK steps long, except in dynamics_verdicts, which records
+the blocks in the second half of its runs: its blocks are _DYNAMICS_BLOCK
+steps long, and of each recorded one it keeps only the sign changes its
+verdicts count. Parameter sets on shared increments (truncation_table) step
+as parameter groups of those calls.
 
 Each experiment's chunk loop is one module-level worker per _CHUNK paths,
 handed that chunk's streams by one walker, _over_chunks. A large run cuts
@@ -106,12 +108,20 @@ _CHUNK = 1024  # paths per chunk, whose streams are drawn and stepped together
 # (truncation_table steps pairs x chunk rows per call, 12 x 1,024 for
 # configs/table4_sets.cfg; at 12 x 8,192 a step's rows no longer fit in cache
 # and cost about 1.8x more per path-step)
-# Steps per time block of every experiment (a power of two, so it holds whole
-# coarse steps of every dyadic level up to its own length). Chunk x block
-# doubles is 33.5 MB, and a chunk may hold several: truncation_table a block,
-# a scaled copy and, while transposing, the draw; a recording dynamics_verdicts
-# chunk a block and its recording (1,024 seeds peak at 106 MB in one process).
+# Steps per time block of every experiment but dynamics_verdicts (a power of
+# two, so it holds whole coarse steps of every dyadic level up to its own
+# length). Chunk x block doubles is 33.5 MB, and a chunk may hold several:
+# truncation_table a block, a scaled copy and, while transposing, the draw.
 _BLOCK = 4096
+# Steps per time block of dynamics_verdicts, which records the blocks that
+# reach the second half of a run: a chunk then holds a block, its recording
+# and the kernel's tile, a few hundred KB per 100 rows, whatever the horizon.
+# 1,024 seeds at T = 128, h = 2^-6 in one process peaked at 38.6 MiB VmHWM
+# against 104.4 MiB in _BLOCK-step blocks, and configs/ex5_4.cfg's peak RSS
+# fell from 40.8 to 39.0 MB (39.4 MB in 256-step blocks). The cost is the
+# draw's per-row call overhead: 20-25 ns per normal at 100 rows, against
+# 16-21 ns in _BLOCK-step blocks (2-core x86-64).
+_DYNAMICS_BLOCK = 128
 # Rows of a block whose coarse sums strong_error forms for every level in
 # turn, while the 32 x 4,096 slice (1 MiB) is in cache: configs/ex5_1.cfg's
 # five levels of a 512 x 4,096 block, summed after its reference run, took
@@ -421,6 +431,14 @@ def _check_horizon(t_span):
                           f"(need at least {_MIN_HORIZON:g})")
 
 
+def _dynamics_grid(t_final, h):
+    """Steps and grid step of a dynamics run at step size h, checked: a whole
+    number of steps that spans at least the minimum horizon."""
+    steps = _whole_steps(t_final, h, "t_final")
+    _check_horizon(steps * (t_final / steps))
+    return steps, t_final / steps
+
+
 def _verdict(rep, t_span, log_term, terminal, crossings):
     """One run's verdict from its last state and its level crossings."""
     lyap = log_term / t_span
@@ -463,18 +481,19 @@ def classify_dynamics(traj, p):
 
 def dynamics_verdicts(params, scheme, t_final, n_paths, base_seed):
     """classify_dynamics of paths 0 .. n_paths - 1, in index order, each on
-    lcm_simulate along its generate draw, bit for bit: each chunk steps in
-    _BLOCK-step recordings, of which only the last states and the sign
-    changes in the second half of the run are kept."""
-    steps = _whole_steps(t_final, scheme.h, "t_final")
-    h = t_final / steps
-    _check_horizon(steps * h)
+    lcm_simulate along its generate draw, bit for bit: each chunk draws and
+    steps in _DYNAMICS_BLOCK-step blocks, records only the blocks that reach
+    the second half of the run, and keeps of them only the last states and
+    the sign changes."""
+    steps, h = _dynamics_grid(t_final, scheme.h)
     return sum(_over_chunks(_dynamics_chunk, n_paths, base_seed, n_paths * steps,
                             params, scheme, steps, h), [])
 
 
 def _dynamics_chunk(streams, params, scheme, steps, h):
-    """Verdicts of one chunk's paths, on the grid's own step h."""
+    """Verdicts of one chunk's paths, on the grid's own step h, drawn and
+    stepped in _DYNAMICS_BLOCK-step blocks; in the persistence regime the
+    blocks that reach the tail (the second half of the run) are recorded."""
     rep = regime_report(params)
     level = rep.persistence_lambda
     # the first state k with k h >= steps h / 2, on classify_dynamics' times
@@ -482,12 +501,13 @@ def _dynamics_chunk(streams, params, scheme, steps, h):
     y = math.log(params.I0)
     crossings = np.zeros(len(streams), dtype=np.int64)
     signs = np.zeros(len(streams))  # each path's last non-zero sign, carried
-    for start in range(0, steps, _BLOCK):
-        n = min(_BLOCK, steps - start)
+    for start in range(0, steps, _DYNAMICS_BLOCK):
+        n = min(_DYNAMICS_BLOCK, steps - start)
+        record = level is not None and start + n >= tail
         out = lcm_evolve(y, streams.increments(n, h), params, scheme,
-                         record=level is not None, steps_done=start)
+                         record=record, steps_done=start)
         y = out.y_final
-        if level is not None and start + n >= tail:
+        if record:
             # the block's tail states, in place, led by the carried signs
             d = out.y_snaps.T[max(tail - start, 1) - 1:]
             np.exp(d[1:], out=d[1:])

@@ -2,10 +2,12 @@
 (simulate, convergence, dynamics, truncation).
 
 Exit codes: 0 success, 2 bad config or usage (ConfigError), 3 output I/O
-failure, 4 parameters outside every supported regime. Any other exception is
-a fault in the program: it escapes main, so the process exits 1 with a
-traceback. Numeric config values accept plain floats plus dyadic tokens like
-2^-6, and serialize_config writes the same tokens back out, so
+failure, 4 parameters outside every supported regime, a log-space state that
+left float64, or a convergence run with a strong error of exactly 0, which no
+rate fit can take (its error_table.csv is written first). Any other
+exception is a fault in the program: it escapes main, so the process exits 1
+with a traceback. Numeric config values accept plain floats plus dyadic
+tokens like 2^-6, and serialize_config writes the same tokens back out, so
 parse(serialize(cfg)) == cfg.
 """
 
@@ -21,6 +23,7 @@ from dataclasses import dataclass, replace
 
 from .analysis import (
     ConfigError,
+    _dynamics_grid,
     _whole_steps,
     dynamics_verdicts,
     fit_rate,
@@ -259,16 +262,24 @@ def cmd_convergence(args):
     if not cfg.levels or cfg.h_reference is None:
         raise ConfigError(
             "missing [convergence] section with levels and h_reference")
+    if len(set(cfg.levels)) < 2:  # fit_rate's own check, before any path is stepped
+        raise ConfigError("rate fit needs at least two distinct step sizes in "
+                          "convergence.levels")
     n_paths = _resolve_paths(args, cfg.n_paths)
     s_ref = SchemeParams(h=cfg.h_reference, alpha=cfg.scheme.alpha,
                          theta=cfg.scheme.theta)
     table = strong_error(cfg.model, s_ref, levels=cfg.levels, n_paths=n_paths,
                          base_seed=seed, t_final=cfg.t_final)
-    fit = fit_rate(table)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "error_table.csv"), "w") as fh:
         write_error_table(table, fh)
+    zero = [h for h, e in zip(table.step_sizes, table.errors) if e == 0.0]
+    if zero:
+        raise PreconditionError(
+            f"strong error is exactly 0 at h = {_format_list(zero)}: every path "
+            "ends equal to the reference, so no rate can be fitted")
+    fit = fit_rate(table)
     with open(os.path.join(outdir, "rate_fit.csv"), "w") as fh:
         write_rate_fit(fit, fh)
     log_h = [math.log(x) for x in table.step_sizes]
@@ -296,6 +307,8 @@ def cmd_dynamics(args):
         raise PreconditionError(
             "parameters fall in neither the extinction nor the persistence "
             "regime; long-run classification is undefined here")
+    for h in cfg.dyn_step_sizes:  # every step size's grid, before any run
+        _dynamics_grid(cfg.t_final, h)
     seed = _resolve_seed(args, cfg)
     n_seeds = _resolve_paths(args, cfg.n_seeds)
     outdir = args.out or "."

@@ -707,6 +707,31 @@ class TestDynamicsVerdicts:
                               0.5, 300, base_seed=1)
         assert calls == []
 
+    @pytest.mark.parametrize("p", [P_PERS, P_EXT], ids=["persistence", "extinction"])
+    def test_only_blocks_reaching_the_tail_are_recorded(self, monkeypatch, p):
+        # 400 steps, second half from state 200: blocks of at most
+        # _DYNAMICS_BLOCK steps, recorded from the one that holds state 200
+        # on, and never in the extinction regime, which counts no crossings
+        calls = []
+        evolve = analysis.lcm_evolve
+
+        def spy(y0, dw, p, s, record=False, steps_done=0):
+            calls.append((steps_done, dw.shape[1], record))
+            return evolve(y0, dw, p, s, record, steps_done)
+
+        monkeypatch.setattr(analysis, "lcm_evolve", spy)
+        monkeypatch.setattr(analysis, "_cores", lambda: 1)  # stay in this process
+        s = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
+        verdicts = dynamics_verdicts(p, s, 100.0, 30, base_seed=5001)
+        block = analysis._DYNAMICS_BLOCK
+        assert [(start, n) for start, n, _ in calls] == [
+            (start, min(block, 400 - start)) for start in range(0, 400, block)]
+        persistent = p is P_PERS
+        assert [record for *_, record in calls] == [
+            persistent and start + n >= 200 for start, n, _ in calls]
+        assert sum(v.kind == ("Persistent" if persistent else "Extinct")
+                   for v in verdicts) == 30
+
     @pytest.mark.parametrize("n_paths", [0, -3])
     def test_non_positive_paths_rejected(self, n_paths):
         with pytest.raises(ConfigError, match="n_paths must be positive"):

@@ -323,6 +323,19 @@ class TestCliErrors:
         assert "Traceback" not in err
         assert not out.is_file() and not list(tmp_path.rglob("dynamics_*.csv"))
 
+    def test_every_dynamics_step_size_checked_before_any_runs(self, tmp_path, capsys):
+        # regression: with step_sizes = 2^-2 0.3 the command wrote
+        # dynamics_2m2.csv and printed its summary before it rejected 0.3
+        path = write_cfg(tmp_path, DYN_EXT_CFG.replace("step_sizes = 2^-2 2^-1",
+                                                       "step_sizes = 2^-2 0.3"))
+        out = tmp_path / "o"
+        assert main(["dynamics", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "config error: t_final 5.0 is not a whole number of steps of 0.3")
+        assert captured.out == ""
+        assert not list(tmp_path.rglob("dynamics_*.csv"))
+
     @pytest.mark.parametrize("command", ["simulate", "dynamics"])
     def test_horizon_within_rounding_of_whole_steps_runs(self, tmp_path, command):
         # regression: the grid step 1.7 / 17 is 0.09999999999999999, one ulp
@@ -345,6 +358,8 @@ class TestCliErrors:
     @pytest.mark.parametrize("command, text, message", [
         ("convergence", CONV_CFG.replace("levels = 2^-4 2^-3", "levels = 2^-4"),
          "rate fit needs at least two"),
+        ("convergence", CONV_CFG.replace("levels = 2^-4 2^-3", "levels = 2^-4 2^-4"),
+         "rate fit needs at least two distinct"),
         ("convergence", CONV_CFG.replace("levels = 2^-4 2^-3", "levels = 2^-4 -1"),
          "convergence.levels: h must be positive"),
         ("dynamics", DYN_EXT_CFG.replace("step_sizes = 2^-2 2^-1", "step_sizes = 0"),
@@ -361,12 +376,13 @@ class TestCliErrors:
     ])
     def test_config_value_errors_are_config_errors(self, tmp_path, capsys, command,
                                                    text, message):
-        # what a config can get wrong exits 2, without a traceback
+        # what a config can get wrong exits 2, without a traceback or a file
         path = write_cfg(tmp_path, text)
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_internal_value_error_exits_1(self, tmp_path):
         # a ValueError from inside the program is a fault, not a bad config:
@@ -428,6 +444,27 @@ class TestCliErrors:
             assert f"row 0 from step {step} on" in err
             assert "Traceback" not in err
             assert not (out / "error_table.csv").exists()
+
+    def test_zero_strong_errors_are_precondition_error(self, tmp_path, capsys):
+        # table 4's set 1 over T = 1: c0 is about -4,018, so the reference and
+        # every level round I to 0.0 and every gap is exactly 0; this ran the
+        # whole experiment, then exited 2 as a config error with no file
+        text = (DYN_EXT_CFG.split("[dynamics]")[0].replace("t_final = 5", "t_final = 1")
+                .replace("n_paths = 6", "n_paths = 16")
+                + "[convergence]\nlevels = 2^-10 2^-9 2^-8 2^-7 2^-6\n"
+                "h_reference = 2^-14\n")
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["convergence", "--config", path, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error: strong error is exactly 0 at "
+                              "h = 2^-10 2^-9 2^-8 2^-7 2^-6")
+        assert "Traceback" not in err
+        rows = (out / "error_table.csv").read_text().splitlines()
+        assert rows[0] == "h,error" and len(rows) == 6
+        assert {row.split(",")[1] for row in rows[1:]} == {"0.0"}
+        assert not (out / "rate_fit.csv").exists()
+        assert not (out / "loglog.csv").exists()
 
     def test_gap_regime_dynamics_is_precondition_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DYN_GAP_CFG)
@@ -598,19 +635,25 @@ class TestDynamics:
         assert {label: hashlib.sha256((out / f"dynamics_{label}.csv").read_bytes())
                 .hexdigest() for label in expected} == expected
 
-    def test_time_blocks_do_not_move_a_byte(self, tmp_path, monkeypatch):
-        # in 7-step blocks the second half starts on a block's first new state
-        # at h = 2^-2 (state 400) and inside a block at h = 2^-1 (state 200),
-        # and each path's last sign carries across 57 or 29 block boundaries
+    @pytest.mark.parametrize("config, labels", [
+        ("ex5_4.cfg", ("2m2", "2m1")), ("ex5_3.cfg", ("2m4", "2m2", "2m1"))],
+        ids=["ex5_4", "ex5_3"])
+    def test_time_blocks_do_not_move_a_byte(self, tmp_path, monkeypatch, config,
+                                            labels):
+        # in ex5_4's 7-step blocks the second half starts on a block's first
+        # new state at h = 2^-2 (state 400) and inside a block at h = 2^-1
+        # (state 200), and each path's last sign carries across 57 or 29 block
+        # boundaries; in 4,096-step blocks each run is one recorded block
         blobs = []
-        for name, block in (("default", analysis._BLOCK), ("b7", 7)):
-            monkeypatch.setattr(analysis, "_BLOCK", block)
+        for name, block in (("default", analysis._DYNAMICS_BLOCK), ("b7", 7),
+                            ("b4096", 4096)):
+            monkeypatch.setattr(analysis, "_DYNAMICS_BLOCK", block)
             out = tmp_path / name
-            assert main(["dynamics", "--config", str(ROOT / "configs" / "ex5_4.cfg"),
+            assert main(["dynamics", "--config", str(ROOT / "configs" / config),
                          "--out", str(out), "--paths", "30"]) == 0
             blobs.append([(out / f"dynamics_{label}.csv").read_bytes()
-                          for label in ("2m2", "2m1")])
-        assert blobs[0] == blobs[1]
+                          for label in labels])
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_memory_does_not_grow_with_the_horizon(self, tmp_path):
         # ex5_4's parameters at T = 2,000 and h = 2^-6: 100 seeds x 128,000
@@ -638,6 +681,29 @@ class TestDynamics:
         assert proc.returncode == 0, proc.stderr
         peak_mb = int(proc.stdout.split()[-1]) / 1024  # both are in KiB
         assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
+
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the interpreter's VmHWM from /proc")
+    def test_recording_chunk_memory_does_not_grow_with_the_block(self):
+        # 1,024 seeds of ex5_4's model at T = 128, h = 2^-6 in one process and
+        # one chunk: holding a 4,096-step draw and its recording at once
+        # peaked at 104.8 MiB; in 128-step blocks the chunk holds under 1 MiB
+        proc = run_python("from sislab import analysis\n"
+                          "from sislab.model import ModelParams\n"
+                          "from sislab.schemes import SchemeParams\n"
+                          "analysis._cores = lambda: 1\n"
+                          "p = ModelParams(N=100, beta=0.6, sigma=0.01,"
+                          " mu_plus_gamma=40, I0=10)\n"
+                          "s = SchemeParams(h=2.0**-6, alpha=0.1, theta=2.0)\n"
+                          "v = analysis.dynamics_verdicts(p, s, 128.0, 1024, 5001)\n"
+                          "assert len(v) == 1024\n"
+                          "with open('/proc/self/status') as fh:\n"
+                          "    print(next(int(line.split()[1]) for line in fh\n"
+                          "               if line.startswith('VmHWM:')))\n")
+        assert proc.returncode == 0, proc.stderr
+        peak_mib = int(proc.stdout.split()[-1]) / 1024  # VmHWM is in KiB
+        assert peak_mib < 60, f"VmHWM {peak_mib:.1f} MiB"
 
 
 class TestTruncation:

@@ -7,10 +7,11 @@ scheme stays in its domain, and reports the best of three timings. The
 lcm_evolve_x12 column steps the 12 (set, I0) pairs of
 configs/table4_sets.cfg as parameter groups of one call on the same
 increments, as truncation_table does: 12 x width rows, counted per row. The
-lcm_evolve_rec column is lcm_evolve with record=True on the same dw, as
-dynamics_verdicts steps its time blocks, keeping every state and truncation
-flag. The
-default run takes under fifteen seconds. Dev-only; not part of the package:
+lcm_evolve_rec column steps the same dw as dynamics_verdicts steps the
+second half of a run: in record=True calls of REC_BLOCK (128) steps, each
+from the last one's final states, keeping every state and truncation flag.
+The default run takes under fifteen seconds. Dev-only; not part of the
+package:
 
     PYTHONPATH=src python tools/kernel_bench.py [--path-steps 2097152]
 """
@@ -32,6 +33,16 @@ TABLE4 = [replace(P, beta=beta, sigma=sigma, mu_plus_gamma=mug, I0=i0)
                                    (0.6, 0.01, 40.0), (0.6, 0.1, 40.0))
           for i0 in (10.0, 50.0, 90.0)]
 TABLE4_Y0 = np.array([math.log(q.I0) for q in TABLE4])
+REC_BLOCK = 128  # the time block of sislab.analysis.dynamics_verdicts
+
+
+def lcm_recorded_blocks(dw):
+    y = math.log(P.I0)
+    for start in range(0, dw.shape[1], REC_BLOCK):
+        y = lcm_evolve(y, dw[:, start:start + REC_BLOCK], P, S, record=True,
+                       steps_done=start).y_final
+
+
 # name: (kernel, rows stepped per row of dw)
 KERNELS = {
     "lcm_evolve": (lambda dw: lcm_evolve(math.log(P.I0), dw, P, S), 1),
@@ -39,7 +50,7 @@ KERNELS = {
     "lcm_evolve_x12": (
         lambda dw: lcm_evolve(np.repeat(TABLE4_Y0, len(dw)), dw, TABLE4, S),
         len(TABLE4)),
-    "lcm_evolve_rec": (lambda dw: lcm_evolve(math.log(P.I0), dw, P, S, record=True), 1),
+    "lcm_evolve_rec": (lcm_recorded_blocks, 1),
 }
 WIDTHS = (1, 25, 64, 128, 512, 1024, 8192)
 MAX_STEPS = 4096
