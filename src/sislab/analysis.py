@@ -4,9 +4,9 @@ classification, and truncation-frequency tables.
 Everything here is deterministic given (base_seed, n_paths): paths are keyed
 by absolute path index, partial results land in preallocated per-path arrays,
 and reductions run once over those arrays in index order. Each path's stream
-is drawn once, forward in time blocks, and stepped in one call per step size
-and time block; the kernels carry their per-row states from block to block,
-so memory per chunk is bounded by chunk times block whatever the horizon.
+is drawn once, forward in time blocks of one buffer (PathStreams.blocks), and
+stepped in one call per step size and block; the kernels carry their per-row
+states on, so memory per chunk is chunk times block whatever the horizon.
 The blocks are _BLOCK steps long, except in dynamics_verdicts, which records
 the blocks in the second half of its runs: its blocks are _DYNAMICS_BLOCK
 steps long, and of each recorded one it keeps only the sign changes its
@@ -277,9 +277,7 @@ def _strong_error_chunk(streams, params, scheme_ref, schemes, ratios,
     y0 = math.log(params.I0)
     block = max([_BLOCK, *ratios])  # whole coarse steps of every level
     y_ref, y_lev = y0, [y0] * len(schemes)
-    for start in range(0, fine_steps, block):
-        dwf = streams.increments(min(block, fine_steps - start),
-                                 t_final / fine_steps)
+    for start, dwf in streams.blocks(fine_steps, t_final / fine_steps, block):
         y_ref = lcm_evolve(y_ref, dwf, params, scheme_ref, steps_done=start).y_final
         # contiguous cell sums (any other summation axis changes bits), every
         # level's from one slice of rows while that slice is in cache
@@ -293,12 +291,7 @@ def _strong_error_chunk(streams, params, scheme_ref, schemes, ratios,
         for li, (s, r, dwl) in enumerate(zip(schemes, ratios, sums)):
             y_lev[li] = lcm_evolve(y_lev[li], dwl, params, s,
                                    steps_done=start // r).y_final
-        dwf = sums = dwl = None  # release this block before drawing the next
-    iref = np.exp(y_ref)
-    gap2 = np.empty((len(schemes), len(streams)))
-    for li, y in enumerate(y_lev):
-        gap2[li] = (iref - np.exp(y)) ** 2
-    return gap2
+    return (np.exp(y_ref) - np.exp(y_lev)) ** 2
 
 
 def milstein_violation_fraction(params, h, t_final, n_paths, base_seed):
@@ -317,8 +310,7 @@ def _violation_chunk(streams, params, h, t_final, steps):
     """Violated flags of one chunk's paths."""
     violated = np.zeros(len(streams), dtype=bool)
     state = params.I0
-    for start in range(0, steps, _BLOCK):
-        dw = streams.increments(min(_BLOCK, steps - start), t_final / steps)
+    for _, dw in streams.blocks(steps, t_final / steps, _BLOCK):
         out = milstein_evolve(state, dw, h, params)
         state = out.i_final
         violated |= out.violated
@@ -378,17 +370,16 @@ def _truncation_chunk(streams, groups, schemes, steps, horizon):
     y0 = np.repeat([math.log(q.I0) for q in groups], len(streams))  # group-major
     states = [y0] * len(schemes)
     buf = np.empty((min(_BLOCK, longest), len(streams)))  # as long as any block
-    for start in range(0, longest, _BLOCK):
-        # step-major once per block, so that the kernels copy whole rows
-        z = np.ascontiguousarray(streams.normals(min(_BLOCK, longest - start)).T)
+    for start, normals in streams.blocks(longest, 1.0, _BLOCK):
         for k, (s, n) in enumerate(zip(schemes, steps)):
             if n <= start:
                 continue
-            dw = np.multiply(z[:n - start], math.sqrt(horizon / n), out=buf[:n - start])
+            # scaled step-major, so that the kernels copy whole rows
+            dw = np.multiply(normals[:, :n - start].T, math.sqrt(horizon / n),
+                             out=buf[:n - start])
             out = lcm_evolve(states[k], dw.T, groups, s, steps_done=start)
             states[k] = out.y_final
             counts[k] += out.trunc_counts.reshape(len(groups), -1).sum(axis=1)
-        z = None  # release this block before drawing the next
     return counts
 
 
@@ -465,18 +456,14 @@ def classify_dynamics(traj, p):
     times = np.asarray(traj.times, dtype=np.float64)
     t_span = float(times[-1] - times[0])
     _check_horizon(t_span)
-    terminal = float(traj.values[-1])
-    if traj.log_values is not None:
-        log_term = float(traj.log_values[-1])
-    else:
-        log_term = math.log(terminal) if terminal > 0.0 else -math.inf
     rep = regime_report(p)
     crossings = 0
     if rep.persistence_lambda is not None:
         tail = times >= times[0] + 0.5 * t_span
         d = np.asarray(traj.values, dtype=np.float64)[tail] - rep.persistence_lambda
         crossings = int(_sign_changes(d[:, None])[0][0])
-    return _verdict(rep, t_span, log_term, terminal, crossings)
+    return _verdict(rep, t_span, float(traj.log_values[-1]), float(traj.values[-1]),
+                    crossings)
 
 
 def dynamics_verdicts(params, scheme, t_final, n_paths, base_seed):
@@ -501,11 +488,9 @@ def _dynamics_chunk(streams, params, scheme, steps, h):
     y = math.log(params.I0)
     crossings = np.zeros(len(streams), dtype=np.int64)
     signs = np.zeros(len(streams))  # each path's last non-zero sign, carried
-    for start in range(0, steps, _DYNAMICS_BLOCK):
-        n = min(_DYNAMICS_BLOCK, steps - start)
-        record = level is not None and start + n >= tail
-        out = lcm_evolve(y, streams.increments(n, h), params, scheme,
-                         record=record, steps_done=start)
+    for start, dw in streams.blocks(steps, h, _DYNAMICS_BLOCK):
+        record = level is not None and start + dw.shape[1] >= tail
+        out = lcm_evolve(y, dw, params, scheme, record=record, steps_done=start)
         y = out.y_final
         if record:
             # the block's tail states, in place, led by the carried signs
@@ -515,7 +500,7 @@ def _dynamics_chunk(streams, params, scheme, steps, h):
             d[0] = signs
             counts, signs = _sign_changes(d)
             crossings += counts
-        out = d = None  # release this block before drawing the next
+        out = d = None  # release this recording before the next call makes its own
     return [_verdict(rep, steps * h, float(yj), float(ij), int(cj))
             for yj, ij, cj in zip(y, np.exp(y), crossings)]
 
@@ -577,13 +562,10 @@ def write_trajectory(params, scheme, t_final, steps, base_seed, direct, out=None
 def _trajectory_rows(params, scheme, t_final, steps, base_seed, direct):
     """write_trajectory's header, then the rows of each block as one string."""
     h = t_final / steps
-    streams = PathStreams(base_seed, 0, 1)
     yield "t,I\n" if direct else "t,I,Y,truncated\n"
     row = "%.17g,%.17g\n" if direct else "%.17g,%.17g,%.17g,%d\n"
     state = params.I0 if direct else math.log(params.I0)
-    for start in range(0, steps, _BLOCK):
-        n = min(_BLOCK, steps - start)
-        dw = streams.increments(n, h)
+    for start, dw in PathStreams(base_seed, 0, 1).blocks(steps, h, _BLOCK):
         if direct:
             out = milstein_evolve(state, dw, h, params, record=True)
             state, cols = out.i_final, (out.i_snaps[0],)
@@ -592,5 +574,5 @@ def _trajectory_rows(params, scheme, t_final, steps, base_seed, direct):
             y = out.y_snaps[0]
             state, cols = out.y_final, (np.exp(y), y, np.concatenate([[0], out.flags[0]]))
         skip = 1 if start else 0  # a block's first state ended the block before
-        cols = [np.arange(start, start + n + 1) * h, *cols]
+        cols = [np.arange(start, start + dw.shape[1] + 1) * h, *cols]
         yield "".join(map(row.__mod__, zip(*(c[skip:].tolist() for c in cols))))

@@ -165,19 +165,19 @@ def parse_config(path):
                                       (model.I0,))
         kwargs["horizon"] = optional("truncation", "horizon", _parse_float, None)
 
-    sets = []
+    sets = {}
     for name in cp.sections():
         if not name.startswith("set."):
             continue
         label = _parse_int(name[4:], name)
+        if label in sets:
+            raise ConfigError(f"[{name}] repeats set label {label}")
         n_val = need(name, "N")
-        mp = checked(name, ModelParams, N=n_val, beta=need(name, "beta"),
-                     sigma=need(name, "sigma"),
-                     mu_plus_gamma=need(name, "mu_plus_gamma"),
-                     I0=n_val / 2.0)  # placeholder; runs supply I0
-        sets.append((label, mp))
-    sets.sort(key=lambda pair: pair[0])
-    kwargs["sets"] = tuple(sets)
+        sets[label] = checked(name, ModelParams, N=n_val, beta=need(name, "beta"),
+                              sigma=need(name, "sigma"),
+                              mu_plus_gamma=need(name, "mu_plus_gamma"),
+                              I0=n_val / 2.0)  # placeholder; runs supply I0
+    sets = kwargs["sets"] = tuple(sorted(sets.items()))
     for _, mp in sets or [(None, model)]:  # the truncation command's sets
         for i0 in kwargs.get("trunc_i0", ()):
             checked("truncation.I0", replace, mp, I0=i0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +62,12 @@ class ModelParams:
             raise ValueError("mu_plus_gamma must be positive")
         if not 0.0 < self.I0 < self.N:
             raise ValueError("I0 must lie in (0, N)")
-        # the constants the kernels and reproduction_numbers form, as float
-        # products, which give inf where ** raises OverflowError
-        s2, n, mg = self.sigma * self.sigma, self.N, self.mu_plus_gamma
-        r0d = self.beta * n / mg
-        c0 = self.beta * n - mg - 0.5 * s2 * n * n
-        if not all(map(math.isfinite, (s2, s2 * n, s2 * n * n, self.beta * n, c0,
-                                       self.beta * self.beta, r0d,
-                                       r0d - s2 * (n * n) / (2.0 * mg)))):
+        # the kernels' constants, and reproduction_numbers' as float products,
+        # which give inf where ** raises OverflowError
+        constants = _log_constants(self)
+        r0d = self.beta * self.N / self.mu_plus_gamma
+        r0s = r0d + constants[5] * (self.N * self.N) / (2.0 * self.mu_plus_gamma)
+        if not all(map(math.isfinite, (*constants, self.beta * self.beta, r0d, r0s))):
             raise ValueError("a constant derived from N, beta, sigma and "
                              "mu_plus_gamma overflows float64")
 
@@ -100,12 +99,20 @@ def log_coeffs(x, p):
     """
     x = np.asarray(x, dtype=np.float64)
     ex = np.exp(x)
-    s2 = p.sigma * p.sigma
-    c0 = _c0(p)
-    fx = (-0.5 * s2 * ex + (s2 * p.N - p.beta)) * ex + c0
-    gx = p.sigma * (p.N - ex)
-    ggx = -s2 * ex * (p.N - ex)
+    a1, sigma, a2, c0, n, neg_s2 = _log_constants(p)
+    fx = (a1 * ex + a2) * ex + c0
+    gx = sigma * (n - ex)
+    ggx = neg_s2 * ex * (n - ex)
     return fx, gx, ggx
+
+
+def _log_constants(p):
+    """(-sigma^2 / 2, sigma, sigma^2 N - beta, c0, N, -sigma^2), log_coeffs'
+    constants. c0 = beta N - mu - gamma - sigma^2 N^2 / 2 = (mu + gamma)(R0^S - 1)
+    decides the regime by its sign, so the thresholds read the c0 the kernels use."""
+    s2 = p.sigma * p.sigma
+    return (-0.5 * s2, p.sigma, s2 * p.N - p.beta,
+            p.beta * p.N - p.mu_plus_gamma - 0.5 * s2 * p.N * p.N, p.N, -s2)
 
 
 def reproduction_numbers(p):
@@ -129,37 +136,33 @@ def extinction_case(p):
     return ExtinctionCase.NEITHER
 
 
-def _c0(p):
-    """beta N - mu - gamma - sigma^2 N^2 / 2 = (mu + gamma)(R0^S - 1), formed as
-    lcm_evolve forms it: its sign decides the regime, so lambda agrees with it."""
-    return p.beta * p.N - p.mu_plus_gamma - 0.5 * (p.sigma * p.sigma) * p.N * p.N
-
-
 def f_max_sigma(p):
     """Upper bound of f over (-inf, log N): the almost-sure decay rate of
-    log I_t / t in the extinction regime."""
-    if _c0(p) >= 0.0:
+    log I_t / t in the extinction regime, always below 0 when returned."""
+    c0 = _log_constants(p)[3]
+    if c0 >= 0.0:
         raise PreconditionError(f"R0^S = {reproduction_numbers(p)[1]:g} >= 1: "
                                 "extinction bound requires R0^S < 1")
     case = extinction_case(p)
     if case is ExtinctionCase.SMALL_SIGMA:
-        return p.beta * p.N - p.mu_plus_gamma - 0.5 * p.sigma**2 * p.N**2
-    if case is ExtinctionCase.LARGE_SIGMA:
-        return p.beta**2 / (2.0 * p.sigma**2) - p.mu_plus_gamma
-    raise PreconditionError(
-        "no extinction case applies: sigma^2 lies strictly between beta/N "
-        "and beta^2/(2(mu+gamma))")
+        return c0
+    # LARGE_SIGMA's rate is below 0, but rounds to 0 within an ulp of its bound
+    rate = p.beta**2 / (2.0 * p.sigma**2) - p.mu_plus_gamma
+    if case is ExtinctionCase.NEITHER or not rate < 0.0:
+        raise PreconditionError(
+            "no extinction case applies: sigma^2 is not above beta^2/(2(mu+gamma)) "
+            f"by more than a rounding (rate {rate:g}), nor at most beta/N")
+    return rate
 
 
 def _persistence_roots(p):
     """lambda and N - lambda, each formed from c0 without cancellation; the
     radicand b^2 + 2 sigma^2 c0 is beta^2 - 2 sigma^2 (mu + gamma), here > 0."""
-    c0 = _c0(p)
+    _, _, a2, c0, _, neg_s2 = _log_constants(p)
     if not c0 > 0.0:
         raise PreconditionError(f"R0^S = {reproduction_numbers(p)[1]:g} <= 1: "
                                 "persistence level requires R0^S > 1")
-    s2 = p.sigma * p.sigma
-    b = p.beta - s2 * p.N
+    s2, b = -neg_s2, -a2
     root = math.sqrt(b * b + 2.0 * s2 * c0)
     lam = 2.0 * c0 / (b + root) if b > 0.0 else (root - b) / s2
     return lam, 2.0 * p.mu_plus_gamma / (p.beta + root)
@@ -199,13 +202,12 @@ class RegimeReport:
 
 def regime_report(p):
     r0d, r0s = reproduction_numbers(p)
-    case = extinction_case(p)
-    c0 = _c0(p)
     fmax = lam = None
-    if c0 < 0.0 and case is not ExtinctionCase.NEITHER:
-        fmax = f_max_sigma(p)
-    elif c0 > 0.0:
+    if _log_constants(p)[3] > 0.0:
         lam = persistence_lambda(p)
+    else:
+        with suppress(PreconditionError):  # c0 = 0, or no case gives a rate below 0
+            fmax = f_max_sigma(p)
     return RegimeReport(r0_deterministic=r0d, r0_stochastic=r0s,
-                        extinction_case=case, f_max_sigma=fmax,
+                        extinction_case=extinction_case(p), f_max_sigma=fmax,
                         persistence_lambda=lam)

@@ -3,8 +3,8 @@ coarsening.
 
 Every path is an independent counter-based stream keyed by
 (base_seed, path_index), so a path's draws never depend on how many other
-paths were generated, in which order, or in which chunk. The same
-streams can be read forward in time blocks (PathStreams), and blocks of any
+paths were generated, in which order, or in which chunk. PathStreams walks
+the same streams forward in time blocks of one buffer, and blocks of any
 lengths concatenate, bit for bit, to the whole-path draw of generate.
 Only dW is carried: the stepping kernels rebuild dZeta = (dW^2 - h) / 2 at
 their own step size.
@@ -70,8 +70,8 @@ class PathStreams:
     where the previous call stopped. Philox is counter-based, so blocks of any
     lengths, concatenated, equal one whole-path draw bit for bit: the blocks
     of increments(count, t_final / steps) make up what generate(base_seed, j,
-    t_final, steps) returns, and a prefix of the normals is the draw of a
-    shorter horizon.
+    t_final, steps) returns. At h = 1.0 the increments are the standard
+    normals themselves, a prefix of which, scaled, is a shorter horizon's draw.
     """
 
     def __init__(self, base_seed, lo, hi):
@@ -80,18 +80,24 @@ class PathStreams:
     def __len__(self):
         return len(self._rngs)
 
-    def normals(self, count):
-        """The next count standard normals of every path, shape (rows, count)."""
-        out = np.empty((len(self), count))
+    def increments(self, count, h, out=None):
+        """The next count increments N(0, h) of every path, shape (rows, count),
+        written into out if it is given."""
+        if out is None:
+            out = np.empty((len(self), count))
         for row, rng in zip(out, self._rngs):
             rng.standard_normal(out=row)
-        return out
-
-    def increments(self, count, h):
-        """The next count increments N(0, h) of every path, shape (rows, count)."""
-        out = self.normals(count)
         out *= math.sqrt(h)
         return out
+
+    def blocks(self, steps, h, block):
+        """(start, dw) per block of the next steps increments N(0, h) of every
+        path: dw holds steps start onward, block of them (the last block may be
+        shorter), as a C-contiguous view of one buffer that the next overwrites."""
+        buf = np.empty(len(self) * min(block, steps))
+        for start in range(0, steps, block):
+            n = min(block, steps - start)
+            yield start, self.increments(n, h, buf[:len(self) * n].reshape(-1, n))
 
 
 @dataclass(frozen=True)

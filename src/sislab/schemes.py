@@ -17,8 +17,9 @@ tile walker. Once per tile of steps it transposes dW to step-major order in
 slabs of 64 or more paths and rebuilds dZeta = (dW^2 - h) / 2, so that each
 step reads its h, dW and dZeta as one contiguous 3-row operand; with
 record=True the kernels step straight into one step-major array of every
-state. lcm_evolve steps at the scheme's h and takes one ModelParams per
-group of rows, so many parameter sets step on shared increments in one call.
+state. lcm_evolve steps at the scheme's h, with the constants log_coeffs and
+the regime thresholds read, and takes one ModelParams per group of rows, so
+many parameter sets step on shared increments in one call.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, PreconditionError
+from .model import ModelParams, PreconditionError, _log_constants
 from .model import log_coeffs  # noqa: F401  perfbench/spans.py wraps it here
 from .paths import BrownianGrid, coarsen
 
@@ -72,7 +73,7 @@ class Trajectory:
 
     times: np.ndarray
     values: np.ndarray
-    log_values: np.ndarray | None = None
+    log_values: np.ndarray
     truncated: np.ndarray | None = None
     truncation_count: int = 0
 
@@ -195,16 +196,12 @@ def lcm_evolve(y0, dw, p, s, record=False, steps_done=0):
     table = []
     for q in groups:
         log_n = math.log(q.N)
-        s2 = q.sigma * q.sigma
         table.append((
             log_n,
             # at fine h, alpha h^theta can be under half an ulp of log N (from
             # h = 2^-24 at N = 100, alpha = 0.1, theta = 2): never reset onto log N
             min(log_n - s.alpha * s.h**s.theta, math.nextafter(log_n, -math.inf)),
-            # log_coeffs' constants, formed as it forms them
-            -0.5 * s2, q.sigma, s2 * q.N - q.beta,
-            q.beta * q.N - q.mu_plus_gamma - 0.5 * s2 * q.N * q.N,
-            q.N, -s2))
+            *_log_constants(q)))
     # each constant is a full row, as a Python-float or broadcast operand
     # costs more per call
     consts = np.repeat(np.array(table, dtype=np.float64).reshape(-1, 8).T, width, axis=1)

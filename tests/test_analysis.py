@@ -219,7 +219,8 @@ class TestClassifyDynamics:
             assert verdict.lambda_crossings >= 3
 
     def test_short_horizon_rejected(self):
-        traj = Trajectory(times=np.array([0.0, 0.25]), values=np.array([1.0, 1.0]))
+        traj = Trajectory(times=np.array([0.0, 0.25]), values=np.array([1.0, 1.0]),
+                          log_values=np.zeros(2))
         with pytest.raises(ValueError):
             classify_dynamics(traj, P_PERS)
 

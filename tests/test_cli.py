@@ -471,6 +471,27 @@ class TestCliErrors:
         assert main(["dynamics", "--config", path, "--out", str(tmp_path / "o")]) == 4
         assert "regime" in capsys.readouterr().err.lower()
 
+    def test_extinction_rate_of_zero_is_precondition_error(self, tmp_path, capsys):
+        # LARGE_SIGMA, but beta^2 / (2 sigma^2) - (mu + gamma) rounds to 0.0: the
+        # runs were reported Extinct against a decay rate of 0
+        text = DYN_GAP_CFG.replace("N = 10\nbeta = 0.5\nsigma = 0.3\nmu_plus_gamma = 1",
+                                   "N = 3235.385810186429\nbeta = 0.013132642725535769\n"
+                                   "sigma = 0.014835900944702692\n"
+                                   "mu_plus_gamma = 0.39178374489907764")
+        path = write_cfg(tmp_path, text)
+        assert main(["dynamics", "--config", path, "--out", str(tmp_path / "o")]) == 4
+        assert "regime" in capsys.readouterr().err.lower()
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_set_label_is_config_error(self, tmp_path, capsys):
+        # [set.1] and [set.01] both parse as label 1, which wrote two rows for it
+        path = write_cfg(tmp_path, TRUNC_CFG.replace("[set.2]", "[set.01]"))
+        out = tmp_path / "tr"
+        assert main(["truncation", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "set.01" in err and "label 1" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_lcm_trajectory(self, tmp_path):

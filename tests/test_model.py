@@ -311,6 +311,68 @@ class TestRegimeThreshold:
         assert rep.persistence_lambda is None and rep.f_max_sigma is None
 
 
+# c0 computes as -3.55e-15 here, and the small-sigma rate the parent formed
+# apart from c0, as 0.5 sigma**2 N**2, as 0.0
+SMALL_SIGMA_AT_THRESHOLD = ModelParams(N=16.34270566918096, beta=2.925937231512081,
+                                       sigma=0.40292296476267075,
+                                       mu_plus_gamma=26.13759686626658, I0=1.0)
+# LARGE_SIGMA, with beta^2 / (2 sigma^2) - (mu + gamma) computed as 0.0
+LARGE_SIGMA_AT_BOUND = ModelParams(N=3235.385810186429, beta=0.013132642725535769,
+                                   sigma=0.014835900944702692,
+                                   mu_plus_gamma=0.39178374489907764, I0=1.0)
+
+
+@st.composite
+def large_sigma_bound_sets(draw):
+    """Models with sigma^2 within a few ulps of beta^2 / (2 (mu + gamma)), where
+    the LARGE_SIGMA rate beta^2 / (2 sigma^2) - (mu + gamma) is 0: sigma is the
+    root of that bound, as extinction_case computes it, moved by -2 .. 4 ulps,
+    and beta N is 1.1 .. 100 times 2 (mu + gamma), so that the bound lies above
+    beta / N and c0 < 0."""
+    n = draw(log_uniform(1.5, 1e4))
+    mug = draw(log_uniform(1e-2, 100.0))
+    beta = 2.0 * mug / n * draw(log_uniform(1.1, 100.0))
+    bound = beta**2 / (2.0 * mug)
+    ulps = draw(st.integers(-2, 4))
+    for _ in range(abs(ulps)):
+        bound = math.nextafter(bound, math.copysign(math.inf, ulps))
+    return ModelParams(N=n, beta=beta, sigma=math.sqrt(bound), mu_plus_gamma=mug,
+                       I0=n / 2)
+
+
+def _returned_rate(p):
+    """f_max_sigma(p), or None where it raises; regime_report agrees either way."""
+    try:
+        rate = f_max_sigma(p)
+    except PreconditionError:
+        rate = None
+    assert regime_report(p).f_max_sigma == rate
+    return rate
+
+
+class TestExtinctionRate:
+    """f_max_sigma never returns a decay rate at or above 0."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(threshold_sets())
+    @example(SMALL_SIGMA_AT_THRESHOLD)
+    def test_rate_below_zero_at_threshold(self, p):
+        rate = _returned_rate(p)
+        if rate is None:
+            return
+        assert rate < 0.0
+        if extinction_case(p) is ExtinctionCase.SMALL_SIGMA:
+            # f's limit at -inf, c0, bit for bit
+            assert rate.hex() == float(log_coeffs(-np.inf, p)[0]).hex()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(large_sigma_bound_sets())
+    @example(LARGE_SIGMA_AT_BOUND)
+    def test_rate_below_zero_at_large_sigma_bound(self, p):
+        rate = _returned_rate(p)
+        assert rate is None or rate < 0.0
+
+
 class TestPersistenceAlphaBound:
     def test_substitution_oracle(self):
         b = persistence_alpha_bound(P_PERS, h=0.25, theta=2.0)

@@ -59,25 +59,47 @@ class TestPathRng:
 
 class TestPathStreams:
     def test_blocks_concatenate_to_whole_draw(self):
-        # blocks of 1, of 4,095 and of lengths that do not divide the horizon
+        # blocks of 1, of 4,095 and of lengths that do not divide the horizon,
+        # drawn one by one and walked by blocks
         steps, t_final = 10_000, 2.5
+        h = t_final / steps
         streams = PathStreams(31, 3, 8)
-        blocks = [streams.increments(n, t_final / steps)
-                  for n in (1, 4095, 3333, steps - 1 - 4095 - 3333)]
-        whole = np.concatenate(blocks, axis=1)
-        assert whole.shape == (5, steps)
-        for row, j in zip(whole, range(3, 8)):
-            np.testing.assert_array_equal(
-                row, generate(31, j, t_final, steps).increments)
+        drawn = [streams.increments(n, h) for n in (1, 4095, 3333, steps - 1 - 4095 - 3333)]
+        wholes = [np.concatenate(drawn, axis=1)]
+        for block in (1, 7, 3000, 20_000):  # 3,000 does not divide the horizon
+            walked = [(start, dw.copy())
+                      for start, dw in PathStreams(31, 3, 8).blocks(steps, h, block)]
+            assert [start for start, _ in walked] == list(range(0, steps, block))
+            assert all(dw.shape == (5, min(block, steps - start)) for start, dw in walked)
+            wholes.append(np.concatenate([dw for _, dw in walked], axis=1))
+        for whole in wholes:
+            assert whole.shape == (5, steps)
+            for row, j in zip(whole, range(3, 8)):
+                np.testing.assert_array_equal(
+                    row, generate(31, j, t_final, steps).increments)
+
+    def test_walked_block_is_overwritten_by_the_next(self):
+        # every block is a C-contiguous view of one buffer: a block kept past
+        # its turn holds the next block's increments
+        walk = PathStreams(7, 0, 3).blocks(10, 0.25, 4)
+        _, first = next(walk)
+        kept = first.copy()
+        _, second = next(walk)
+        assert np.shares_memory(first, second) and second.flags.c_contiguous
+        np.testing.assert_array_equal(first, second)
+        assert not np.array_equal(first, kept)
+        _, last = next(walk)  # the short last block is the buffer's prefix
+        assert last.shape == (3, 2) and last.flags.c_contiguous
+        np.testing.assert_array_equal(first.ravel()[:6], last.ravel())
 
     def test_row_does_not_depend_on_range(self):
-        a = PathStreams(7, 0, 10).normals(64)
-        b = PathStreams(7, 5, 6).normals(64)
+        a = PathStreams(7, 0, 10).increments(64, 1.0)
+        b = PathStreams(7, 5, 6).increments(64, 1.0)
         np.testing.assert_array_equal(a[5], b[0])
 
     def test_scaled_prefix_is_shorter_draw(self):
         # one draw at the largest step count serves every coarser step size
-        z = PathStreams(7001, 0, 4).normals(1600)
+        z = PathStreams(7001, 0, 4).increments(1600, 1.0)
         for steps in (100, 400, 1600):
             for j in range(4):
                 np.testing.assert_array_equal(
