@@ -10,8 +10,11 @@ states on, so memory per chunk is chunk times block whatever the horizon.
 The blocks are _BLOCK steps long, except in dynamics_verdicts, which records
 the blocks in the second half of its runs: its blocks are _DYNAMICS_BLOCK
 steps long, and of each recorded one it keeps only the sign changes its
-verdicts count. Parameter sets on shared increments (truncation_table) step
-as parameter groups of those calls.
+verdicts count. milstein_violation_fraction steps live rows only: after each
+_VIOLATION_BLOCK-step block it keeps the flags of the paths that are violated
+or at exactly 0, whose flags can no longer change, and draws and steps only
+the others from then on. Parameter sets on shared increments
+(truncation_table) step as parameter groups of those calls.
 
 Each experiment's chunk loop is one module-level worker per _CHUNK paths,
 handed that chunk's streams by one walker, _over_chunks. A large run cuts
@@ -122,6 +125,13 @@ _BLOCK = 4096
 # draw's per-row call overhead: 20-25 ns per normal at 100 rows, against
 # 16-21 ns in _BLOCK-step blocks (2-core x86-64).
 _DYNAMICS_BLOCK = 128
+# Steps per time block of milstein_violation_fraction, whose chunks drop each
+# path after the block in which its flag becomes final, and end within one
+# block of the last. Both 64-path chunks of the benchmark's fine run (h =
+# 2^-15, seed 606) took 0.362 s in one process (median of 31) against 0.393 s
+# in _DYNAMICS_BLOCK-step blocks, which draw 4.6% fewer normals but pay more
+# per normal and per kernel call (2-core x86-64).
+_VIOLATION_BLOCK = 1024
 # Rows of a block whose coarse sums strong_error forms for every level in
 # turn, while the 32 x 4,096 slice (1 MiB) is in cache: configs/ex5_1.cfg's
 # five levels of a 512 x 4,096 block, summed after its reference run, took
@@ -234,7 +244,13 @@ def _walk_chunks(lo, hi, worker, base_seed, *args):
 
 
 def _whole_steps(t_final, h, what):
-    steps = round(t_final / h)
+    for name, x in ((what, t_final), ("step size", h)):
+        if not (math.isfinite(x) and x > 0.0):
+            raise ConfigError(f"{name} must be finite and positive, got {x!r}")
+    ratio = t_final / h
+    if not math.isfinite(ratio):
+        raise ConfigError(f"{what} {t_final!r} is too many steps of {h!r}")
+    steps = round(ratio)
     if steps < 1 or not math.isclose(steps * h, t_final, rel_tol=_STEP_RTOL):
         raise ConfigError(f"{what} {t_final!r} is not a whole number of steps of {h!r}")
     return steps
@@ -296,9 +312,12 @@ def _strong_error_chunk(streams, params, scheme_ref, schemes, ratios,
 
 def milstein_violation_fraction(params, h, t_final, n_paths, base_seed):
     """Fraction of direct-Milstein paths that ever produce a forbidden state
-    (negative, above N, or non-finite) before t_final. A chunk stops once each
-    of its paths is violated or at exactly 0, a fixed point of the direct map
-    inside [0, N], so the flags are those of the whole horizon, bit for bit."""
+    (negative, above N, or non-finite) before t_final. A path settles once it
+    is violated or at exactly 0, a fixed point of the direct map inside
+    [0, N]: its flag is then final, so its chunk stops drawing and stepping
+    it after that _VIOLATION_BLOCK-step block, and the chunk ends once none
+    of its paths is live. The flags are those of the whole horizon, bit for
+    bit."""
     steps = _whole_steps(t_final, float(h), "t_final")
     violated = np.concatenate(_over_chunks(
         _violation_chunk, n_paths, base_seed, n_paths * steps, params, float(h),
@@ -307,17 +326,21 @@ def milstein_violation_fraction(params, h, t_final, n_paths, base_seed):
 
 
 def _violation_chunk(streams, params, h, t_final, steps):
-    """Violated flags of one chunk's paths."""
+    """Violated flags of one chunk's paths, each stepped until it settles."""
     violated = np.zeros(len(streams), dtype=bool)
+    live = np.arange(len(streams))  # the rows still drawn and stepped
     state = params.I0
-    for _, dw in streams.blocks(steps, t_final / steps, _BLOCK):
+    for _, dw in streams.blocks(steps, t_final / steps, _VIOLATION_BLOCK):
         out = milstein_evolve(state, dw, h, params)
-        state = out.i_final
-        violated |= out.violated
+        violated[live] = out.violated
         # a, b and b b' vanish at +-0 (c, sigma N and N are finite), so a
-        # settled path can change neither its state nor its flag
-        if (violated | (state == 0.0)).all():
+        # settled path can change neither its state nor its flag; each path
+        # has its own stream, so dropping it changes no bit of the others
+        kept = ~(out.violated | (out.i_final == 0.0))
+        live, state = live[kept], out.i_final[kept]
+        if not live.size:
             break
+        streams.keep(kept)
     return violated
 
 

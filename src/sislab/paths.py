@@ -72,6 +72,7 @@ class PathStreams:
     of increments(count, t_final / steps) make up what generate(base_seed, j,
     t_final, steps) returns. At h = 1.0 the increments are the standard
     normals themselves, a prefix of which, scaled, is a shorter horizon's draw.
+    keep drops rows between calls; a kept row's stream is unchanged by it.
     """
 
     def __init__(self, base_seed, lo, hi):
@@ -79,6 +80,11 @@ class PathStreams:
 
     def __len__(self):
         return len(self._rngs)
+
+    def keep(self, mask):
+        """Stop drawing the rows where mask is False: later draws hold the
+        other rows only, in order, each continuing where it stopped."""
+        self._rngs = [rng for rng, k in zip(self._rngs, mask, strict=True) if k]
 
     def increments(self, count, h, out=None):
         """The next count increments N(0, h) of every path, shape (rows, count),
@@ -93,7 +99,8 @@ class PathStreams:
     def blocks(self, steps, h, block):
         """(start, dw) per block of the next steps increments N(0, h) of every
         path: dw holds steps start onward, block of them (the last block may be
-        shorter), as a C-contiguous view of one buffer that the next overwrites."""
+        shorter), as a C-contiguous view of one buffer that the next overwrites.
+        Each block has a row per path kept when it is drawn (keep)."""
         buf = np.empty(len(self) * min(block, steps))
         for start in range(0, steps, block):
             n = min(block, steps - start)

@@ -269,12 +269,11 @@ def lcm_simulate(inc, p, s):
 
 @dataclass
 class MilsteinBatch:
-    """Batch output of the direct scheme; violated/exploded are per-path flags."""
+    """Batch output of the direct scheme; violated is a per-path flag."""
 
     i_snaps: np.ndarray | None
     i_final: np.ndarray
     violated: np.ndarray
-    exploded: np.ndarray
 
 
 def milstein_evolve(i0, dw, h, p, record=False):
@@ -291,7 +290,7 @@ def milstein_evolve(i0, dw, h, p, record=False):
     statistics measure) and freezes a path to NaN from its first non-finite
     state onward; a row that starts at NaN stays frozen. A run split at any
     step and resumed from i_final equals one call bit for bit once the
-    violated and exploded flags of its parts are OR-ed together.
+    violated flags of its parts are OR-ed together.
 
     Each step is 8 ufunc calls on stacked rows, with the operands and order
     of drift_original and diffusion_original; dZeta, the domain check and the
@@ -334,5 +333,4 @@ def milstein_evolve(i0, dw, h, p, record=False):
     with np.errstate(over="ignore", invalid="ignore"):
         snaps, i_final = _walk_tiles(np.full(n_paths, i0, dtype=np.float64), dw, h,
                                      1, record, step_tile)
-    return MilsteinBatch(i_snaps=snaps, i_final=i_final, violated=violated,
-                         exploded=~np.isfinite(i_final))
+    return MilsteinBatch(i_snaps=snaps, i_final=i_final, violated=violated)

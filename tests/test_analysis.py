@@ -6,6 +6,7 @@ logs, 50-digit OLS) before fit_rate existed. They differ from the published
 fit because the published one used unrounded errors.
 """
 
+import functools
 import io
 import math
 import os
@@ -303,52 +304,79 @@ class TestMilsteinViolationFraction:
         b = milstein_violation_fraction(P_EXT, **kw)
         assert a == b == 5 / 24
 
+    @pytest.mark.parametrize("h, t_final, message", [
+        (0.0, 5.0, "step size must be finite and positive, got 0.0"),
+        (float("nan"), 5.0, "step size must be finite and positive, got nan"),
+        (0.25, float("inf"), "t_final must be finite and positive, got inf"),
+        (0.25, float("nan"), "t_final must be finite and positive, got nan"),
+        (1e-300, 1e300, "t_final 1e+300 is too many steps of 1e-300"),
+    ])
+    def test_bad_step_or_horizon_is_config_error(self, h, t_final, message):
+        # regression: h = 0.0 raised ZeroDivisionError, a NaN or infinite
+        # t_final ValueError or OverflowError from round()
+        with pytest.raises(ConfigError) as err:
+            milstein_violation_fraction(P_EXT, h=h, t_final=t_final, n_paths=4,
+                                        base_seed=1)
+        assert str(err.value) == message
+
     @pytest.fixture
     def evolve_calls(self, monkeypatch):
-        """The increment shapes of this process's milstein_evolve calls."""
+        """(start state per row, steps) of this process's milstein_evolve calls."""
         calls = []
         evolve = analysis.milstein_evolve
 
         def counting(i0, dw, h, p):
-            calls.append(dw.shape)
+            calls.append((np.broadcast_to(i0, len(dw)).copy(), dw.shape[1]))
             return evolve(i0, dw, h, p)
 
         monkeypatch.setattr(analysis, "milstein_evolve", counting)
         return calls
 
     @staticmethod
-    def full_horizon(p, h, t_final, n_paths, base_seed):
+    @functools.lru_cache
+    def full_horizon(p, h, t_final, n_paths, base_seed, block):
         """Violated flags of paths 0 .. n_paths - 1, each stepped to t_final in
-        _BLOCK-step calls, and the number of calls after which every path was
-        violated or exactly 0 (all of them if that never held)."""
+        block-step calls, and the calls of a chunk that stops stepping each
+        path after the block in which it is violated or exactly 0: (the start
+        states of the paths not yet settled, steps), up to the block after
+        which none is left."""
         steps = round(t_final / h)
         streams = PathStreams(base_seed, 0, n_paths)
         violated = np.zeros(n_paths, dtype=bool)
-        state, settled = p.I0, None
-        for k, start in enumerate(range(0, steps, analysis._BLOCK), 1):
-            out = milstein_evolve(state, streams.increments(
-                min(analysis._BLOCK, steps - start), t_final / steps), h, p)
+        state, live, calls = np.full(n_paths, p.I0), np.ones(n_paths, dtype=bool), []
+        for start in range(0, steps, block):
+            n = min(block, steps - start)
+            if live.any():
+                calls.append((state[live], n))
+            out = milstein_evolve(state, streams.increments(n, t_final / steps), h, p)
             state, violated = out.i_final, violated | out.violated
-            if settled is None and (violated | (state == 0.0)).all():
-                settled = k
-        return violated, settled or k
+            live &= ~(violated | (state == 0.0))
+        return violated, calls
 
     # criterion 6's set dies out, so its paths settle (violated, or exactly 0)
     # long before t_final at these step sizes
-    @pytest.mark.parametrize("h, n_paths, t_final, seeds", [
-        (2.0**-13, 24, 1.0, (31, 606, 9091)),
-        (2.0**-15, 64, 5.0, (606, 1)),
-    ], ids=["2^-13", "2^-15"])
+    @pytest.mark.parametrize("h, n_paths, t_final, seeds, block", [
+        (2.0**-13, 24, 1.0, (31, 606, 9091), None),
+        (2.0**-13, 24, 1.0, (31, 606), 7),
+        (2.0**-15, 64, 5.0, (606, 1), None),
+    ], ids=["2^-13", "2^-13-b7", "2^-15"])
     def test_settled_chunks_stop_with_the_full_horizon_flags(
-            self, monkeypatch, evolve_calls, h, n_paths, t_final, seeds):
+            self, monkeypatch, evolve_calls, h, n_paths, t_final, seeds, block):
+        if block is not None:
+            monkeypatch.setattr(analysis, "_VIOLATION_BLOCK", block)
         kw = dict(h=h, t_final=t_final, n_paths=n_paths)
         for seed in seeds:
-            ref, settled = self.full_horizon(P_EXT, base_seed=seed, **kw)
+            ref, calls = self.full_horizon(P_EXT, h, t_final, n_paths, seed,
+                                           analysis._VIOLATION_BLOCK)
             evolve_calls.clear()
             flags = analysis._violation_chunk(PathStreams(seed, 0, n_paths), P_EXT,
                                               h, t_final, round(t_final / h))
             np.testing.assert_array_equal(flags, ref)
-            assert len(evolve_calls) == settled  # stopped at the first chance
+            # each call steps exactly the paths the reference has not settled,
+            # from their states, and the chunk stops at the first chance
+            assert [n for _, n in evolve_calls] == [n for _, n in calls]
+            for (got, _), (want, _) in zip(evolve_calls, calls):
+                np.testing.assert_array_equal(got, want)
             with monkeypatch.context() as m:
                 m.setattr(analysis, "_cores", lambda: 1)
                 assert milstein_violation_fraction(P_EXT, base_seed=seed, **kw) \
@@ -358,17 +386,21 @@ class TestMilsteinViolationFraction:
                 assert milstein_violation_fraction(P_EXT, base_seed=seed, **kw) \
                     == ref.mean()
 
-    @pytest.mark.parametrize("p, blocks", [(P_EXT, range(1, 40)), (P_PERS, [40])],
-                             ids=["dies-out", "persists"])
-    def test_stepping_stops_once_every_path_settles(self, monkeypatch, evolve_calls,
-                                                    p, blocks):
-        # 163,840 steps are 40 blocks; P_PERS paths never reach 0 or leave
-        # (0, N) at h = 2^-15, so they step every block
+    @pytest.mark.parametrize("p", [P_EXT, P_PERS], ids=["dies-out", "persists"])
+    def test_stepping_stops_once_every_path_settles(self, monkeypatch, evolve_calls, p):
+        # P_PERS paths never reach 0 or leave (0, N) at h = 2^-15, so all 64
+        # step every block of the 163,840 steps
         monkeypatch.setattr(analysis, "_cores", lambda: 1)
         frac = milstein_violation_fraction(p, h=2.0**-15, t_final=5.0, n_paths=64,
                                            base_seed=606)
-        assert len(evolve_calls) in blocks
-        assert evolve_calls == [(64, analysis._BLOCK)] * len(evolve_calls)
+        block = analysis._VIOLATION_BLOCK
+        shapes = [(len(i0), n) for i0, n in evolve_calls]
+        if p is P_PERS:
+            assert shapes == [(64, block)] * (163_840 // block)
+        else:
+            _, calls = self.full_horizon(p, 2.0**-15, 5.0, 64, 606, block)
+            assert shapes == [(len(i0), n) for i0, n in calls]
+            assert len(shapes) < 163_840 // block and shapes[-1][0] < 64
         assert frac == 0.0
 
 

@@ -368,6 +368,15 @@ class TestCliErrors:
          "too short to classify"),
         ("truncation", TRUNC_CFG.replace("I0 = 10 50", "I0 = 10 150"),
          "truncation.I0: I0 must lie in (0, N)"),
+        # a non-finite horizon exited 1 with round()'s OverflowError or ValueError
+        *((command, text.replace(old, f"{key} = {bad}"),
+           f"{key} must be finite and positive, got {bad}")
+          for command, text, old, key in (
+              ("simulate", DYN_EXT_CFG, "t_final = 5", "t_final"),
+              ("dynamics", DYN_EXT_CFG, "t_final = 5", "t_final"),
+              ("convergence", CONV_CFG, "t_final = 1", "t_final"),
+              ("truncation", TRUNC_CFG, "horizon = 5", "horizon"))
+          for bad in ("inf", "nan")),
         # float64 cannot hold sigma^2 N^2 or sigma^2: simulate wrote NaN with
         # exit 0, and dynamics exited 1 on reproduction_numbers' OverflowError
         *((command, DYN_EXT_CFG.replace(old, new), "model: a constant derived")

@@ -78,6 +78,44 @@ class TestPathStreams:
                 np.testing.assert_array_equal(
                     row, generate(31, j, t_final, steps).increments)
 
+    @pytest.mark.parametrize("block", [7, 1024])
+    def test_kept_rows_join_their_whole_draw(self, block):
+        # rows dropped after the second and the fourth block: each kept row's
+        # blocks still join into its generate draw, and a dropped row's
+        # generator is never drawn from again, so it goes on where it stopped
+        steps, t_final = 5000, 2.0
+        h = t_final / steps
+        streams = PathStreams(31, 3, 11)
+        paths = np.arange(3, 11)  # the path of each row of the next block
+        drawn = {j: [] for j in paths}
+        dropped = {}  # path: its generator
+        drops = {1: [1, 4], 3: [0, 5]}  # after block k, the rows dropped
+        for k, (start, dw) in enumerate(streams.blocks(steps, h, block)):
+            assert dw.shape == (len(paths), min(block, steps - start))
+            for j, row in zip(paths, dw):
+                drawn[j].append(row.copy())
+            if k in drops:
+                mask = np.ones(len(paths), dtype=bool)
+                mask[drops[k]] = False
+                dropped.update((j, rng) for j, rng, kept
+                               in zip(paths, streams._rngs, mask) if not kept)
+                streams.keep(mask)
+                paths = paths[mask]
+        assert len(paths) == 4 and len(dropped) == 4
+        for j in paths:
+            np.testing.assert_array_equal(np.concatenate(drawn[j]),
+                                          generate(31, j, t_final, steps).increments)
+        for j, rng in dropped.items():  # a prefix of the whole draw, then the rest
+            got = np.concatenate(drawn[j])
+            assert len(got) == (2 if j in (4, 7) else 4) * block
+            np.testing.assert_array_equal(
+                np.concatenate([got, rng.standard_normal(steps - len(got)) * math.sqrt(h)]),
+                generate(31, j, t_final, steps).increments)
+
+    def test_keep_needs_a_flag_per_row(self):
+        with pytest.raises(ValueError):
+            PathStreams(7, 0, 3).keep([True, False])
+
     def test_walked_block_is_overwritten_by_the_next(self):
         # every block is a C-contiguous view of one buffer: a block kept past
         # its turn holds the next block's increments
