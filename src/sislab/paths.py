@@ -12,6 +12,7 @@ their own step size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,15 +28,26 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _key_type():
+    """A seed sequence handing Philox its key as is, where Philox(key=) seeds
+    one from OS entropy. Made on first use: naming np.random imports it."""
+    @dataclass
+    class _Key(np.random.bit_generator.ISeedSequence):
+        key: np.ndarray
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key  # Philox asks for two uint64 words, its key
+    return _Key
+
+
 def path_rng(base_seed, path_index):
     """Generator for one path, keyed by the (base_seed, path_index) pair.
 
     Philox takes a 128-bit key; the two integers are reduced mod 2^64 and
     used as its two words, so negative seeds are accepted and stable.
     """
-    key = np.array([int(base_seed) % 2**64, int(path_index) % 2**64],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.array([int(base_seed) % 2**64, int(path_index) % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_key_type()(key)))
 
 
 @dataclass(frozen=True)

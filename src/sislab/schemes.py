@@ -19,7 +19,9 @@ step reads its h, dW and dZeta as one contiguous 3-row operand; with
 record=True the kernels step straight into one step-major array of every
 state. lcm_evolve steps at the scheme's h, with the constants log_coeffs and
 the regime thresholds read, and takes one ModelParams per group of rows, so
-many parameter sets step on shared increments in one call.
+many parameter sets step on shared increments in one call. Its per-group floor
+on y before np.exp, checked to leave f and g exact, spares extinct rows
+subnormal e^y and changes no step whose sum is not near 0.
 """
 
 from __future__ import annotations
@@ -159,6 +161,16 @@ def _walk_tiles(start, dw, h, groups, record, step_tile):
     return (states.T if record else None), states[-1 if record else 0].copy()
 
 
+def _exp_floor(a1, _, a2, c0, n, neg_s2):
+    """Per group, lcm_evolve's floor on y before np.exp: e^floor is 2^-1001 over
+    max(1, -a1, |a2|, sigma^2 N), or -inf unless at e^floor, as at 0, a1 e + a2 is
+    a2, a2 e + c0 is c0, N - e is N (each monotone in e) and sigma^2 N e <= 2^-1000."""
+    floor = -1001 * math.log(2) - np.log(np.max([-a1, abs(a2), -neg_s2 * n], 0).clip(1))
+    e = np.exp(floor)
+    exact = (a1 * e + a2 == a2) & (a2 * e + c0 == c0) & (n - e == n)
+    return np.where(exact & (abs(neg_s2 * e * n) <= 2.0**-1000), floor, -np.inf)
+
+
 def lcm_evolve(y0, dw, p, s, record=False, steps_done=0):
     """Evolve a batch of log-space paths from y0, one start state per row or
     a scalar shared by all rows, at the scheme's step s.h.
@@ -178,11 +190,11 @@ def lcm_evolve(y0, dw, p, s, record=False, steps_done=0):
     from the start of the run: steps_done is the steps the run took before
     this call.
 
-    Each step is np.exp plus log_coeffs' operations, in its order and
-    grouping, and the Milstein update ((y + f h) + g dW) + g g' dZeta, each a
-    ufunc call writing into a preallocated row, with a1 e^y and sigma (N - e^y)
-    formed in one call and f h, g dW and g g' dZeta in another; the truncation
-    counts are formed once per tile of steps.
+    Each step is np.exp(max(y, _exp_floor)), log_coeffs' operations in order
+    and grouping and the Milstein update ((y + f h) + g dW) + g g' dZeta, each
+    a ufunc call into a preallocated row; truncations are counted once per tile.
+    The floor moves only g g', by 2^-1000 at most, so a step differs only where
+    (y + f h) + g dW is within 2^-946 |dZeta| of 0.
     """
     dw = np.asarray(dw, dtype=np.float64)
     width, steps = dw.shape
@@ -204,8 +216,9 @@ def lcm_evolve(y0, dw, p, s, record=False, steps_done=0):
             *_log_constants(q)))
     # each constant is a full row, as a Python-float or broadcast operand
     # costs more per call
-    consts = np.repeat(np.array(table, dtype=np.float64).reshape(-1, 8).T, width, axis=1)
-    log_n, reset, _, _, a2, c0, big_n, neg_s2 = consts
+    consts = np.array(table, dtype=np.float64).reshape(-1, 8).T
+    consts = np.repeat(np.vstack([consts, _exp_floor(*consts[2:])]), width, axis=1)
+    log_n, reset, _, _, a2, c0, big_n, neg_s2, floor = consts
     a1_sigma = consts[2:4]  # one operand, against en
     en = np.empty((2, n_rows))  # e^y and N - e^y
     fgg = np.empty((3, n_rows))  # f, g and g g', then f h, g dW and g g' dZeta
@@ -221,7 +234,7 @@ def lcm_evolve(y0, dw, p, s, record=False, steps_done=0):
         for y, nxt, hit, m_k in _step_rows(views, record, states, states[1:], hits, m):
             # log_coeffs: f = (-s2/2 e^y + (s2 N - beta)) e^y + c0,
             # g = sigma (N - e^y), g g' = -s2 e^y (N - e^y)
-            exp(y, ex)
+            exp(np.maximum(y, floor, out=ex), ex)  # a positional out is deprecated here
             sub(big_n, ex, n_ex)
             mul(a1_sigma, en, fg)
             add(fy, a2, fy)

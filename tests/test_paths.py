@@ -2,11 +2,17 @@
 aggregation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sislab.paths import BrownianGrid, PathStreams, coarsen, generate, path_rng
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestGenerate:
@@ -55,6 +61,27 @@ class TestPathRng:
         np.testing.assert_array_equal(x, y)
         z = path_rng(11, 7).standard_normal(8)
         assert not np.array_equal(x, z)
+
+    @pytest.mark.parametrize("seed, index", [
+        (0, 0), (7, 11), (-1, 3), (2**64 + 5, 2**70), (606, -2**63), (2**64 - 1, 2**64)])
+    def test_stream_is_philox_keyed_by_the_pair(self, seed, index):
+        # path_rng hands Philox its key through a seed sequence of its own
+        # instead of Philox(key=); the stream must not change
+        key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(64)
+        np.testing.assert_array_equal(path_rng(seed, index).standard_normal(64), want)
+
+    def test_import_leaves_numpy_random_out(self):
+        # the key's seed sequence type is made on first use, as naming
+        # np.random imports numpy.random
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\nimport sislab.cli\n"
+             "print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestPathStreams:

@@ -18,6 +18,7 @@ from sislab import schemes
 from sislab.model import (
     ModelParams,
     PreconditionError,
+    _log_constants,
     diffusion_original,
     drift_original,
     log_coeffs,
@@ -27,6 +28,7 @@ from sislab.schemes import SchemeParams, lcm_evolve, lcm_simulate, milstein_evol
 
 P_CONV1 = ModelParams(N=10, beta=0.5, sigma=0.2, mu_plus_gamma=4.0, I0=1.0)
 P_EXT = ModelParams(N=100, beta=0.42, sigma=0.9, mu_plus_gamma=10.0, I0=90.0)
+P_SET4 = ModelParams(N=100, beta=0.6, sigma=0.1, mu_plus_gamma=40.0, I0=10.0)  # table 4
 
 # oracle: three drift-only direct-Milstein iterates from I0=1 (dW=0, h=0.25)
 MILSTEIN_DRIFT_ITERATES = (0.765, 0.58390365375, 0.44446054581544199)
@@ -250,20 +252,28 @@ class TestLcmEvolveReference:
     step count, split point, and with and without recording."""
 
     # sigma = 0.01 truncates about every other step at h = 1/4; P_CONV1 from
-    # I = 1 at h = 2^-4 never comes near log N
+    # I = 1 at h = 2^-4 never comes near log N; table 4's set 4 at h = 1/2 and
+    # ex5_3's set at h = 2^-4 die out from Y0 in -760 .. -680 (EXTINCT_Y0)
     CASES = {
         "truncating": (
             ModelParams(N=100, beta=0.42, sigma=0.01, mu_plus_gamma=10.0, I0=10.0),
             SchemeParams(h=0.25, alpha=0.1, theta=2.0)),
         "inside": (P_CONV1, SchemeParams(h=2.0**-4, alpha=0.1, theta=2.0)),
+        "extinct": (P_SET4, SchemeParams(h=0.5, alpha=0.1, theta=2.0)),
+        "extinct_ex5_3": (P_EXT, SchemeParams(h=2.0**-4, alpha=0.1, theta=2.0)),
     }
+    # from these start states rows cross lcm_evolve's exp floor (-693.8 and
+    # -698.2 on the two extinct sets), the subnormal band of e^y,
+    # [-745.13, -708.4), and -745.13, below which e^y is 0
+    EXTINCT_Y0 = (-720.0, 40.0)  # centre, half-width
 
     @classmethod
     def case(cls, name, width, steps):
         p, s = cls.CASES[name]
         rng = np.random.default_rng(100 * width + steps)
         dw = rng.normal(0.0, math.sqrt(s.h), size=(width, steps))
-        y0 = math.log(p.I0) + rng.uniform(-1.0, 1.0, size=width)
+        mid, half = cls.EXTINCT_Y0 if name.startswith("extinct") else (math.log(p.I0), 1.0)
+        y0 = mid + rng.uniform(-half, half, size=width)
         return p, s, y0, dw
 
     # at the default budgets 65 and 130 rows of 37 or 200 steps end in a
@@ -283,7 +293,7 @@ class TestLcmEvolveReference:
                 np.testing.assert_array_equal(out.flags, flags)
             else:
                 assert out.y_snaps is None and out.flags is None
-        if name == "inside":
+        if name != "truncating":
             assert not flags.any()
         elif width * steps >= 37:
             assert flags.any()
@@ -296,6 +306,62 @@ class TestLcmEvolveReference:
         b = lcm_evolve(a.y_final, dw[:, k:], p, s, record=True)
         np.testing.assert_array_equal(np.hstack([a.y_snaps, b.y_snaps[:, 1:]]), ref)
         np.testing.assert_array_equal(np.hstack([a.flags, b.flags]), flags)
+
+    @pytest.mark.parametrize("name", ["extinct", "extinct_ex5_3"])
+    def test_extinct_rows_cross_the_floor_and_the_subnormal_band(self, name):
+        p, s, y0, dw = self.case(name, 65, 37)
+        ref, _ = lcm_reference(y0, dw, p, s)
+        (floor,) = schemes._exp_floor(*np.array(_log_constants(p))[:, None])
+        assert (ref > floor).any() and (ref < -745.14).any()
+        assert ((ref > -745.13) & (ref < floor) & (np.exp(ref) < np.finfo(float).tiny)).any()
+
+    def test_floor_keeps_products_normal_on_the_papers_sets(self):
+        # table 4's four sets, ex5_1/ex5_2's (P_CONV1) and ex5_3's (P_EXT): every
+        # product the step forms from e^floor is a normal double, at most 2^-1000
+        sets = [P_CONV1, P_EXT, P_SET4,
+                *(ModelParams(N=100, beta=b, sigma=0.01, mu_plus_gamma=m, I0=10.0)
+                  for b, m in ((0.42, 10.0), (0.6, 40.0)))]
+        a1, _, a2, c0, n, neg_s2 = consts = np.array([_log_constants(q) for q in sets]).T
+        e = np.exp(schemes._exp_floor(*consts))
+        products = np.abs([e, a1 * e, a2 * e, neg_s2 * e, neg_s2 * e * n])
+        assert (products >= np.finfo(float).tiny).all() and (products <= 2.0**-1000).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 30])
+    @pytest.mark.parametrize("name", ["extinct", "extinct_ex5_3"])
+    def test_extinct_split_and_resume_matches_reference(self, name, k):
+        p, s, y0, dw = self.case(name, 130, 37)
+        ref, flags = lcm_reference(y0, dw, p, s)
+        for record in (False, True):
+            a = lcm_evolve(y0, dw[:, :k], p, s, record=record)
+            b = lcm_evolve(a.y_final, dw[:, k:], p, s, record=record, steps_done=k)
+            np.testing.assert_array_equal(b.y_final, ref[:, -1])
+            if record:
+                np.testing.assert_array_equal(
+                    np.hstack([a.y_snaps, b.y_snaps[:, 1:]]), ref)
+        assert not flags.any()
+
+    def test_groups_failing_the_floor_check_match_reference(self):
+        # N = 1e-300 cannot absorb e^floor (N - e^floor != N), and sigma^2 N =
+        # beta exactly leaves a1 e^floor + (sigma^2 N - beta) != 0: both groups
+        # step with no floor, next to table 4's set 4 with one, on shared dw
+        groups = [
+            P_SET4,
+            ModelParams(N=1e-300, beta=0.5, sigma=0.5, mu_plus_gamma=1.0, I0=1e-301),
+            ModelParams(N=4.0, beta=1.0, sigma=0.5, mu_plus_gamma=3.0, I0=1.0)]
+        consts = np.array([_log_constants(q) for q in groups]).T
+        assert schemes._exp_floor(*consts).tolist()[1:] == [-math.inf, -math.inf]
+        _, s, _, dw = self.case("extinct", 65, 37)
+        y0 = np.random.default_rng(3).uniform(-760.0, -680.0, size=3 * 65)
+        for record in (False, True):
+            out = lcm_evolve(y0, dw, groups, s, record=record)
+            for g, q in enumerate(groups):
+                rows = slice(65 * g, 65 * (g + 1))
+                ref, flags = lcm_reference(y0[rows], dw, q, s)
+                np.testing.assert_array_equal(out.y_final[rows], ref[:, -1])
+                np.testing.assert_array_equal(out.trunc_counts[rows], flags.sum(axis=1))
+                if record:
+                    np.testing.assert_array_equal(out.y_snaps[rows], ref)
+                    np.testing.assert_array_equal(out.flags[rows], flags)
 
     # lcm_evolve steps in tiles and records once per tile; as in
     # TestMilsteinEvolveTiles, a small budget puts tile edges inside these runs

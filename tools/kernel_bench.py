@@ -10,6 +10,8 @@ increments, as truncation_table does: 12 x width rows, counted per row. The
 lcm_evolve_rec column steps the same dw as dynamics_verdicts steps the
 second half of a run: in record=True calls of REC_BLOCK (128) steps, each
 from the last one's final states, keeping every state and truncation flag.
+The lcm_evolve_extinct column steps table 4's set 4 from Y = -720, where
+e^Y is subnormal and lcm_evolve's exp floor (about -693.8) holds every row.
 The default run takes under fifteen seconds. Dev-only; not part of the
 package:
 
@@ -33,6 +35,7 @@ TABLE4 = [replace(P, beta=beta, sigma=sigma, mu_plus_gamma=mug, I0=i0)
                                    (0.6, 0.01, 40.0), (0.6, 0.1, 40.0))
           for i0 in (10.0, 50.0, 90.0)]
 TABLE4_Y0 = np.array([math.log(q.I0) for q in TABLE4])
+SET4 = TABLE4[9]
 REC_BLOCK = 128  # the time block of sislab.analysis.dynamics_verdicts
 
 
@@ -51,6 +54,7 @@ KERNELS = {
         lambda dw: lcm_evolve(np.repeat(TABLE4_Y0, len(dw)), dw, TABLE4, S),
         len(TABLE4)),
     "lcm_evolve_rec": (lcm_recorded_blocks, 1),
+    "lcm_evolve_extinct": (lambda dw: lcm_evolve(-720.0, dw, SET4, S), 1),
 }
 WIDTHS = (1, 25, 64, 128, 512, 1024, 8192)
 MAX_STEPS = 4096
@@ -70,13 +74,13 @@ def main(argv=None):
     ap.add_argument("--path-steps", type=int, default=1 << 21)
     args = ap.parse_args(argv)
     rng = np.random.default_rng(0)
-    print(f"{'width':>6} {'steps':>6} " + " ".join(f"{k:>16}" for k in KERNELS)
+    print(f"{'width':>6} {'steps':>6} " + " ".join(f"{k:>18}" for k in KERNELS)
           + "  (ns per path-step)")
     for width in WIDTHS:
         steps = max(1, min(MAX_STEPS, args.path_steps // width))
         dw = rng.normal(0.0, math.sqrt(S.h), size=(width, steps))
         cells = [ns_per_path_step(k, groups, dw) for k, groups in KERNELS.values()]
-        print(f"{width:6d} {steps:6d} " + " ".join(f"{c:16.1f}" for c in cells))
+        print(f"{width:6d} {steps:6d} " + " ".join(f"{c:18.1f}" for c in cells))
 
 
 if __name__ == "__main__":
