@@ -1,7 +1,7 @@
 """Domain-preserving simulation toolkit for the stochastic SIS epidemic model."""
 
 from .model import ModelParams, PreconditionError, RegimeReport, regime_report
-from .schemes import SchemeParams, Trajectory, lcm_simulate
+from .schemes import SchemeParams
 from .analysis import ErrorTable, RateFit, fit_rate, strong_error
 
 __version__ = "0.1.0"
@@ -13,9 +13,7 @@ __all__ = [
     "RateFit",
     "RegimeReport",
     "SchemeParams",
-    "Trajectory",
     "fit_rate",
-    "lcm_simulate",
     "regime_report",
     "strong_error",
     "__version__",

@@ -2,11 +2,12 @@
 classification, and truncation-frequency tables.
 
 Everything here is deterministic given (base_seed, n_paths): paths are keyed
-by absolute path index, partial results land in preallocated per-path arrays,
-and reductions run once over those arrays in index order. Each path's stream
-is drawn once, forward in time blocks of one buffer (PathStreams.blocks), and
-stepped in one call per step size and block; the kernels carry their per-row
-states on, so memory per chunk is chunk times block whatever the horizon.
+by absolute path index, and reductions run once, in index order. Every entry
+point counts its steps itself, as the whole number of steps of h in its
+horizon (_whole_steps). Each path's stream is drawn once, forward in time
+blocks of one buffer (PathStreams.blocks), and stepped in one call per step
+size and block; the kernels carry their per-row states on, so memory per
+chunk is chunk times block whatever the horizon.
 The blocks are _BLOCK steps long, except in dynamics_verdicts, which records
 the blocks in the second half of its runs: its blocks are _DYNAMICS_BLOCK
 steps long, and of each recorded one it keeps only the sign changes its
@@ -267,15 +268,12 @@ def strong_error(params, scheme_ref, levels, n_paths, base_seed, t_final):
     levels = tuple(float(x) for x in levels)
     h_ref = float(scheme_ref.h)
     fine_steps = _whole_steps(t_final, h_ref, "t_final")
-    ratios = []
-    for L in levels:
-        r = round(L / h_ref)
-        if (r < 1 or not math.isclose(r * h_ref, L, rel_tol=_STEP_RTOL)
-                or r & (r - 1) or fine_steps % r):
+    ratios = [_whole_steps(L, h_ref, "level") for L in levels]
+    for L, r in zip(levels, ratios):
+        if r & (r - 1) or fine_steps % r:
             raise ConfigError(
                 f"level {L!r} must be a power-of-two multiple of the "
                 f"reference step {h_ref!r} that divides the horizon")
-        ratios.append(r)
 
     schemes = [replace(scheme_ref, h=L) for L in levels]
     gap2 = np.concatenate(_over_chunks(
@@ -500,14 +498,23 @@ def dynamics_verdicts(params, scheme, t_final, n_paths, base_seed):
                             params, scheme, steps, h), [])
 
 
+def _tail_start(steps, h):
+    """The first state k with k h >= steps h / 2, the first of the second half
+    on classify_dynamics' times k h, searched for from steps // 2."""
+    half, k = 0.5 * (steps * h), steps // 2
+    while k > 0 and (k - 1) * h >= half:
+        k -= 1
+    # else k = steps // 2, so (k + 1) h, exactly >= steps h / 2, rounds to >= half
+    return k if k * h >= half else k + 1
+
+
 def _dynamics_chunk(streams, params, scheme, steps, h):
     """Verdicts of one chunk's paths, on the grid's own step h, drawn and
     stepped in _DYNAMICS_BLOCK-step blocks; in the persistence regime the
     blocks that reach the tail (the second half of the run) are recorded."""
     rep = regime_report(params)
     level = rep.persistence_lambda
-    # the first state k with k h >= steps h / 2, on classify_dynamics' times
-    tail = int(np.searchsorted(np.arange(steps + 1) * h, 0.5 * (steps * h)))
+    tail = _tail_start(steps, h)
     y = math.log(params.I0)
     crossings = np.zeros(len(streams), dtype=np.int64)
     signs = np.zeros(len(streams))  # each path's last non-zero sign, carried
@@ -564,12 +571,13 @@ def write_dynamics_summary(rows, fh):
                  f"{v.lambda_crossings},{_num(v.terminal_value)}\n")
 
 
-def write_trajectory(params, scheme, t_final, steps, base_seed, direct, out=None):
-    """Write path 0 of base_seed over steps steps of t_final / steps as CSV
-    with full round-trip precision: t,I,Y,truncated from the log-space scheme
-    at scheme.h, or t,I from the direct scheme if direct, drawn, stepped and
-    written in _BLOCK-step blocks. out is a file path, stdout if None; a file
-    that a failed run leaves part-written is removed."""
+def write_trajectory(params, scheme, t_final, base_seed, direct, out=None):
+    """Write path 0 of base_seed over t_final, a whole number of steps of
+    scheme.h, as CSV with full round-trip precision: t,I,Y,truncated from the
+    log-space scheme, or t,I from the direct scheme if direct, drawn, stepped
+    and written in _BLOCK-step blocks. out is a file path, stdout if None; a
+    file that a failed run leaves part-written is removed."""
+    steps = _whole_steps(t_final, scheme.h, "t_final")
     rows = _trajectory_rows(params, scheme, t_final, steps, base_seed, direct)
     if out is None:
         sys.stdout.writelines(rows)

@@ -19,12 +19,11 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .analysis import (
     ConfigError,
     _dynamics_grid,
-    _whole_steps,
     dynamics_verdicts,
     fit_rate,
     strong_error,
@@ -50,11 +49,9 @@ _POWER_TOKEN = re.compile(r"2\^(-?\d+)")
 def _parse_float(token, where):
     token = token.strip()
     m = _POWER_TOKEN.fullmatch(token)
-    if m:
-        return 2.0 ** int(m.group(1))
     try:
-        return float(token)
-    except ValueError:
+        return 2.0 ** int(m.group(1)) if m else float(token)
+    except (ValueError, OverflowError):  # 2^k overflows from k = 1024 on
         raise ConfigError(f"{where}: cannot parse number {token!r}") from None
 
 
@@ -85,6 +82,11 @@ def _format_float(v):
 
 def _format_list(values):
     return " ".join(_format_float(v) for v in values)
+
+
+def _keys(params, skip=()):
+    """A section's keys: the fields of its dataclass, in order, less skip."""
+    return [f.name for f in fields(params) if f.name not in skip]
 
 
 @dataclass(frozen=True)
@@ -126,21 +128,20 @@ def parse_config(path):
             return default
         return conv(cp.get(section, key), f"{section}.{key}")
 
-    def checked(where, build, *args, **fields):
+    def checked(where, build, *args, **values):
         try:
-            return build(*args, **fields)
+            return build(*args, **values)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+
+    def read_keys(name, params, skip=()):
+        return {key: need(name, key) for key in _keys(params, skip)}
 
     for section in ("model", "scheme", "run"):
         if not cp.has_section(section):
             raise ConfigError(f"missing [{section}] section")
-    model = checked("model", ModelParams, N=need("model", "N"),
-                    beta=need("model", "beta"), sigma=need("model", "sigma"),
-                    mu_plus_gamma=need("model", "mu_plus_gamma"),
-                    I0=need("model", "I0"))
-    scheme = checked("scheme", SchemeParams, h=need("scheme", "h"),
-                     alpha=need("scheme", "alpha"), theta=need("scheme", "theta"))
+    model = checked("model", ModelParams, **read_keys("model", ModelParams))
+    scheme = checked("scheme", SchemeParams, **read_keys("scheme", SchemeParams))
 
     def step_sizes(section, key, conv=_parse_float_list):
         """Step sizes a command will run, each checked as the scheme's h."""
@@ -172,11 +173,9 @@ def parse_config(path):
         label = _parse_int(name[4:], name)
         if label in sets:
             raise ConfigError(f"[{name}] repeats set label {label}")
-        n_val = need(name, "N")
-        sets[label] = checked(name, ModelParams, N=n_val, beta=need(name, "beta"),
-                              sigma=need(name, "sigma"),
-                              mu_plus_gamma=need(name, "mu_plus_gamma"),
-                              I0=n_val / 2.0)  # placeholder; runs supply I0
+        values = read_keys(name, ModelParams, skip=("I0",))
+        sets[label] = checked(name, ModelParams, **values,
+                              I0=values["N"] / 2.0)  # placeholder; runs supply I0
     sets = kwargs["sets"] = tuple(sorted(sets.items()))
     for _, mp in sets or [(None, model)]:  # the truncation command's sets
         for i0 in kwargs.get("trunc_i0", ()):
@@ -186,19 +185,13 @@ def parse_config(path):
 
 def serialize_config(cfg):
     """Write a config back as canonical INI text (see parse_config)."""
-    m, s = cfg.model, cfg.scheme
+    def section(name, params, skip=()):
+        return ["", f"[{name}]", *(f"{key} = {_format_float(getattr(params, key))}"
+                                   for key in _keys(params, skip))]
+
     lines = [
-        "[model]",
-        f"N = {_format_float(m.N)}",
-        f"beta = {_format_float(m.beta)}",
-        f"sigma = {_format_float(m.sigma)}",
-        f"mu_plus_gamma = {_format_float(m.mu_plus_gamma)}",
-        f"I0 = {_format_float(m.I0)}",
-        "",
-        "[scheme]",
-        f"h = {_format_float(s.h)}",
-        f"alpha = {_format_float(s.alpha)}",
-        f"theta = {_format_float(s.theta)}",
+        *section("model", cfg.model),
+        *section("scheme", cfg.scheme),
         "",
         "[run]",
         f"t_final = {_format_float(cfg.t_final)}",
@@ -220,12 +213,8 @@ def serialize_config(cfg):
         if cfg.horizon is not None:
             lines.append(f"horizon = {_format_float(cfg.horizon)}")
     for label, mp in cfg.sets:
-        lines += ["", f"[set.{label}]",
-                  f"N = {_format_float(mp.N)}",
-                  f"beta = {_format_float(mp.beta)}",
-                  f"sigma = {_format_float(mp.sigma)}",
-                  f"mu_plus_gamma = {_format_float(mp.mu_plus_gamma)}"]
-    return "\n".join(lines) + "\n"
+        lines += section(f"set.{label}", mp, skip=("I0",))
+    return "\n".join(lines[1:]) + "\n"  # no blank line before [model]
 
 
 def _h_label(h):
@@ -250,8 +239,7 @@ def _resolve_paths(args, default):
 
 def cmd_simulate(args):
     cfg = parse_config(args.config)
-    steps = _whole_steps(cfg.t_final, cfg.scheme.h, "t_final")
-    write_trajectory(cfg.model, cfg.scheme, cfg.t_final, steps, _resolve_seed(args, cfg),
+    write_trajectory(cfg.model, cfg.scheme, cfg.t_final, _resolve_seed(args, cfg),
                      args.scheme == "milstein", args.out or None)
     return 0
 
@@ -266,8 +254,7 @@ def cmd_convergence(args):
         raise ConfigError("rate fit needs at least two distinct step sizes in "
                           "convergence.levels")
     n_paths = _resolve_paths(args, cfg.n_paths)
-    s_ref = SchemeParams(h=cfg.h_reference, alpha=cfg.scheme.alpha,
-                         theta=cfg.scheme.theta)
+    s_ref = replace(cfg.scheme, h=cfg.h_reference)
     table = strong_error(cfg.model, s_ref, levels=cfg.levels, n_paths=n_paths,
                          base_seed=seed, t_final=cfg.t_final)
     outdir = args.out or "."
@@ -332,7 +319,7 @@ def cmd_truncation(args):
     sets = cfg.sets or ((1, cfg.model),)
     horizon = cfg.horizon if cfg.horizon is not None else cfg.t_final
     tbl = truncation_table([mp for _, mp in sets],
-                           I0s=cfg.trunc_i0 or (cfg.model.I0,),
+                           I0s=cfg.trunc_i0,
                            hs=cfg.trunc_step_sizes, n_paths=n_paths,
                            horizon=horizon, base_seed=seed,
                            alpha=cfg.scheme.alpha, theta=cfg.scheme.theta,

@@ -62,12 +62,9 @@ class ModelParams:
             raise ValueError("mu_plus_gamma must be positive")
         if not 0.0 < self.I0 < self.N:
             raise ValueError("I0 must lie in (0, N)")
-        # the kernels' constants, and reproduction_numbers' as float products,
-        # which give inf where ** raises OverflowError
-        constants = _log_constants(self)
-        r0d = self.beta * self.N / self.mu_plus_gamma
-        r0s = r0d + constants[5] * (self.N * self.N) / (2.0 * self.mu_plus_gamma)
-        if not all(map(math.isfinite, (*constants, self.beta * self.beta, r0d, r0s))):
+        derived = (*_log_constants(self), self.beta * self.beta,
+                   *reproduction_numbers(self))
+        if not all(map(math.isfinite, derived)):
             raise ValueError("a constant derived from N, beta, sigma and "
                              "mu_plus_gamma overflows float64")
 
@@ -116,9 +113,9 @@ def _log_constants(p):
 
 
 def reproduction_numbers(p):
-    """Deterministic and stochastic basic reproduction numbers (R0^D, R0^S)."""
+    """(R0^D, R0^S), from float products: inf where ** raises OverflowError."""
     r0d = p.beta * p.N / p.mu_plus_gamma
-    r0s = r0d - p.sigma**2 * p.N**2 / (2.0 * p.mu_plus_gamma)
+    r0s = r0d - p.sigma * p.sigma * (p.N * p.N) / (2.0 * p.mu_plus_gamma)
     return r0d, r0s
 
 

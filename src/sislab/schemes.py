@@ -33,7 +33,7 @@ import numpy as np
 
 from .model import ModelParams, PreconditionError, _log_constants
 from .model import log_coeffs  # noqa: F401  perfbench/spans.py wraps it here
-from .paths import BrownianGrid, coarsen
+from .paths import coarsen  # noqa: F401  perfbench/spans.py wraps it here
 
 __all__ = [
     "LcmBatch",
@@ -265,12 +265,7 @@ def lcm_evolve(y0, dw, p, s, record=False, steps_done=0):
 
 
 def lcm_simulate(inc, p, s):
-    """Run the log-space scheme along one path of increments.
-
-    Accepts a LevyIncrements or a BrownianGrid (used at its fine step).
-    """
-    if isinstance(inc, BrownianGrid):
-        inc = coarsen(inc, 0)
+    """Run the log-space scheme along one path of LevyIncrements (coarsen's)."""
     if not math.isclose(inc.h, s.h, rel_tol=_STEP_RTOL):
         raise ValueError(f"increment step {inc.h} disagrees with scheme step {s.h}")
     out = lcm_evolve(math.log(p.I0), inc.dW[None, :], p, s, record=True)

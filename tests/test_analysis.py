@@ -6,6 +6,7 @@ logs, 50-digit OLS) before fit_rate existed. They differ from the published
 fit because the published one used unrounded errors.
 """
 
+import contextlib
 import functools
 import io
 import math
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -597,6 +599,112 @@ class TestShardedRuns:
         assert submitted == []
 
 
+def run_shapes(blocks=st.integers(1, 64)):
+    """Every run-shape constant of analysis and schemes, drawn jointly from
+    small values: chunks of 1-9 paths, time blocks of 1-64 steps, tiles down
+    to one step, 1-8 sum rows, and a shard floor of 0 or out of reach, over
+    1-4 cores: 4 cut 7 paths into ranges of 1, 2, 2 and 2 paths."""
+    return st.tuples(
+        st.fixed_dictionaries({
+            "_CHUNK": st.integers(1, 9), "_BLOCK": blocks,
+            "_DYNAMICS_BLOCK": st.integers(1, 64),
+            "_VIOLATION_BLOCK": st.integers(1, 64), "_SUM_ROWS": st.integers(1, 8),
+            "_SHARD_FLOOR": st.sampled_from([0, 2**62]),
+            # a _cores that returns n, and shows n when hypothesis prints it
+            "_cores": st.integers(1, 4).map(lambda n: functools.partial(int, n))}),
+        st.fixed_dictionaries({"_TILE_DOUBLES": st.integers(1, 256),
+                               "_SLAB_DOUBLES": st.integers(1, 4096)}))
+
+
+def shaped(shape, run, *args):
+    """run(*args) with the run-shape constants patched to shape."""
+    in_analysis, in_schemes = shape
+    with mock.patch.multiple(analysis, **in_analysis), \
+            mock.patch.multiple(schemes, **in_schemes):
+        return run(*args)
+
+
+def strong_error_text(p):
+    table = strong_error(p, SchemeParams(h=2.0**-6, alpha=0.1, theta=2.0),
+                         levels=[2.0**-4, 2.0**-3, 2.0**-2], n_paths=7, base_seed=9,
+                         t_final=1.0)
+    buf = io.StringIO()
+    write_error_table(table, buf)
+    return buf.getvalue()
+
+
+def truncation_text():
+    # both regimes' sets step as groups of the same calls
+    tbl = truncation_table([P_EXT, P_PERS], I0s=[10.0, 50.0], hs=[0.5, 0.25, 0.125],
+                           n_paths=7, horizon=4.0, base_seed=11)
+    buf = io.StringIO()
+    write_truncation_table(tbl, buf)
+    return buf.getvalue()
+
+
+def dynamics_text(p):
+    verdicts = dynamics_verdicts(p, SchemeParams(h=0.125, alpha=0.1, theta=2.0), 5.0,
+                                 7, base_seed=5001)
+    buf = io.StringIO()
+    write_dynamics_summary(enumerate(verdicts), buf)
+    return buf.getvalue()
+
+
+def violation_text(p, h, t_final):
+    return repr(milstein_violation_fraction(p, h, t_final, n_paths=7, base_seed=31))
+
+
+def trajectory_text(p, direct):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        write_trajectory(p, SchemeParams(h=0.125, alpha=0.1, theta=2.0), 12.0, 3,
+                         direct)
+    return buf.getvalue()
+
+
+class TestRunShapeInvariance:
+    """Every experiment writes the same bytes at any run shape: chunk size,
+    time blocks, tiles, transposing slabs, sum rows and worker count, drawn
+    jointly, against the default shape's output in both regimes."""
+
+    @staticmethod
+    @functools.cache
+    def default(run, *args):
+        return run(*args)
+
+    def check(self, shape, run, *args):
+        assert shaped(shape, run, *args) == self.default(run, *args)
+
+    # strong_error's blocks hold whole coarse steps of every level: powers of two
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(run_shapes(st.sampled_from([2**k for k in range(8)])),
+           st.sampled_from([P_EXT, P_PERS]))
+    def test_strong_error(self, shape, p):
+        self.check(shape, strong_error_text, p)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(run_shapes())
+    def test_truncation_table(self, shape):
+        self.check(shape, truncation_text)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(run_shapes(), st.sampled_from([P_EXT, P_PERS]))
+    def test_dynamics_verdicts(self, shape, p):
+        self.check(shape, dynamics_text, p)
+
+    # paths settle at different blocks: path 5 of the extinction set leaves
+    # the domain at step 9 of 16, paths 2 and 4 of the persistence set at
+    # step 3, 0 at 9 and 1 at 13, and 3, 5 and 6 stay live
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(run_shapes(), st.sampled_from([(P_CONV1, 0.25, 4.0), (P_PERS, 0.125, 2.0)]))
+    def test_milstein_violation_fraction(self, shape, case):
+        self.check(shape, violation_text, *case)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(run_shapes(), st.sampled_from([P_EXT, P_PERS]), st.booleans())
+    def test_write_trajectory(self, shape, p, direct):
+        self.check(shape, trajectory_text, p, direct)
+
+
 class TestFrozenOutputs:
     """Small runs whose outputs were recorded, as repr floats, from the code
     that drew every path whole before stepping it. Time blocks must not move
@@ -771,6 +879,24 @@ class TestDynamicsVerdicts:
             dynamics_verdicts(P_PERS, SchemeParams(h=0.25, alpha=0.1, theta=2.0),
                               5.0, n_paths, base_seed=1)
 
+    def test_tail_start_is_searchsorted_on_the_grid(self):
+        # the first state of the second half, as searchsorted finds it on the
+        # times k h, without forming them
+        for t_final in (1.0, 5.0, 7.3, 128.0, 0.999):
+            for steps in range(1, 3000):
+                h = t_final / steps
+                times = np.arange(steps + 1) * h
+                assert analysis._tail_start(steps, h) == np.searchsorted(
+                    times, 0.5 * (steps * h)), (t_final, steps)
+
+    @pytest.mark.parametrize("t_final", [1.0, 7.3])
+    def test_tail_start_where_the_times_would_not_fit_in_memory(self, t_final):
+        # 2^40 + 1 times are 8 TiB of doubles
+        steps = 2**40
+        h = t_final / steps
+        k = analysis._tail_start(steps, h)
+        assert (k - 1) * h < 0.5 * (steps * h) <= k * h
+
 
 class TestCsvWriters:
     def test_error_table(self):
@@ -808,9 +934,10 @@ class TestCsvWriters:
         assert lines[1].startswith("0,Extinct,")
 
 
-def whole_path_csv(p, s, t_final, steps, seed, direct):
+def whole_path_csv(p, s, t_final, seed, direct):
     """write_trajectory's CSV from one whole-horizon record=True call on the
     generate draw, formatted row by row."""
+    steps = round(t_final / s.h)
     h = t_final / steps
     dw = generate(seed, 0, t_final, steps).increments[None, :]
     t = np.arange(steps + 1) * h
@@ -826,14 +953,14 @@ def whole_path_csv(p, s, t_final, steps, seed, direct):
 
 
 class TestWriteTrajectory:
-    # (params, scheme, t_final, steps, seed, direct). At h = 2^-1 the
+    # (params, scheme, t_final, seed, direct), 24 steps each. At h = 2^-1 the
     # log-space path truncates every other step, in every 7-step block; the
     # direct path from I0 = 50 at h = 2^-10 leaves [0, N] at step 4 and turns
     # NaN at step 13, in its second 7-step block
     LCM = (ModelParams(N=100, beta=0.5, sigma=0.03, mu_plus_gamma=20.0, I0=10.0),
-           SchemeParams(h=0.5, alpha=0.1, theta=2.0), 12.0, 24, 0, False)
+           SchemeParams(h=0.5, alpha=0.1, theta=2.0), 12.0, 0, False)
     DIRECT = (ModelParams(N=100, beta=0.42, sigma=0.9, mu_plus_gamma=10.0, I0=50.0),
-              SchemeParams(h=2.0**-10, alpha=0.1, theta=2.0), 24 / 1024, 24, 2, True)
+              SchemeParams(h=2.0**-10, alpha=0.1, theta=2.0), 24 / 1024, 2, True)
 
     @staticmethod
     def written(tmp_path, case):
@@ -860,7 +987,7 @@ class TestWriteTrajectory:
     def test_lcm_layout(self, tmp_path):
         lines = self.written(tmp_path, (P_CONV1, SchemeParams(h=0.125, alpha=0.1,
                                                                theta=2.0),
-                                        0.5, 4, 1, False)).splitlines()
+                                        0.5, 1, False)).splitlines()
         assert lines[0] == "t,I,Y,truncated"
         assert len(lines) == 6
         first = lines[1].split(",")
@@ -871,13 +998,14 @@ class TestWriteTrajectory:
     def test_milstein_layout(self, tmp_path):
         lines = self.written(tmp_path, (P_CONV1, SchemeParams(h=0.125, alpha=0.1,
                                                                theta=2.0),
-                                        0.5, 4, 1, True)).splitlines()
+                                        0.5, 1, True)).splitlines()
         assert lines[0] == "t,I"
         assert len(lines) == 6
 
     def test_seventeen_digit_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setattr(analysis, "_BLOCK", 7)
-        p, s, t_final, steps, seed, _ = self.LCM
+        p, s, t_final, seed, _ = self.LCM
+        steps = 24
         table = np.loadtxt(io.StringIO(self.written(tmp_path, self.LCM)),
                            delimiter=",", skiprows=1)
         out = lcm_evolve(math.log(p.I0), generate(seed, 0, t_final, steps)

@@ -224,6 +224,28 @@ class TestSerializeConfig:
             again = write_cfg(tmp_path, serialize_config(cfg), name="canon.cfg")
             assert parse_config(again) == cfg
 
+    # sha256 of serialize_config's text for each shipped config: the order of
+    # sections and of keys, and every token, byte for byte
+    SHIPPED = {
+        "configs/ex5_1.cfg":
+            "1ff4718c95b74b69096a383085a60fc4e1773b296fb2b50917213dd211470f8e",
+        "configs/ex5_2.cfg":
+            "22a881b4a54cfa46e6aee3de405a167911ca1ecebacd9ff9e6a2f63ea5ef53b6",
+        "configs/ex5_3.cfg":
+            "e84d065ad1022462bd30d81c0c63374807b52e6039437179d90c4cde35fc332e",
+        "configs/ex5_4.cfg":
+            "06056478a791c0081d6051bc7075c80576399231d6e290651f52b6110c4db218",
+        "configs/table4_sets.cfg":
+            "0560d7b861c04d80243d81dfa71403001256d68c189c98b6df9377698fdb2248",
+        "perfbench/violation.cfg":
+            "6867dda71b1dac92013f9a3ab176e1ca7efc6ef9491f8a470fafde76a9277519",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_shipped_configs_text_is_frozen(self, name):
+        text = serialize_config(parse_config(str(ROOT / name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHIPPED[name], text
+
 
 def run_python(script):
     """Run script in a fresh interpreter that imports sislab from this tree."""
@@ -368,6 +390,9 @@ class TestCliErrors:
          "too short to classify"),
         ("truncation", TRUNC_CFG.replace("I0 = 10 50", "I0 = 10 150"),
          "truncation.I0: I0 must lie in (0, N)"),
+        # 2.0 ** 1024 exited 1 with OverflowError
+        ("dynamics", DYN_EXT_CFG.replace("h = 2^-2", "h = 2^1024"),
+         "scheme.h: cannot parse number '2^1024'"),
         # a non-finite horizon exited 1 with round()'s OverflowError or ValueError
         *((command, text.replace(old, f"{key} = {bad}"),
            f"{key} must be finite and positive, got {bad}")

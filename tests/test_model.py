@@ -60,7 +60,7 @@ class TestModelParams:
     @pytest.mark.parametrize("N, sigma", [(1e155, 1.0), (100.0, 1e200), (math.inf, 1.0)])
     def test_rejects_constants_float64_cannot_hold(self, N, sigma):
         # sigma^2 N^2 overflows at N = 1e155 and sigma^2 at sigma = 1e200, where
-        # reproduction_numbers' ** would raise OverflowError
+        # ** would raise OverflowError
         with pytest.raises(ValueError, match="overflows float64"):
             ModelParams(N=N, beta=0.6, sigma=sigma, mu_plus_gamma=40.0, I0=10.0)
 

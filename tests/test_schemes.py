@@ -164,13 +164,6 @@ class TestLcmSimulate:
         assert traj.truncation_count > 0  # this parameter set truncates often
         assert y == traj.log_values[-1]  # scalar and batch routes agree exactly
 
-    def test_accepts_grid_directly(self):
-        grid = generate(base_seed=1, path_index=0, t_final=1.0, fine_steps=16)
-        s = SchemeParams(h=grid.h_fine, alpha=0.1, theta=2.0)
-        a = lcm_simulate(grid, P_CONV1, s)
-        b = lcm_simulate(coarsen(grid, 0), P_CONV1, s)
-        np.testing.assert_array_equal(a.log_values, b.log_values)
-
     def test_step_size_mismatch_rejected(self):
         grid = generate(1, 0, 1.0, 16)
         with pytest.raises(ValueError):
@@ -179,7 +172,7 @@ class TestLcmSimulate:
     def test_times_and_initial_state(self):
         grid = generate(1, 0, 1.0, 8)
         s = SchemeParams(h=grid.h_fine, alpha=0.1, theta=2.0)
-        traj = lcm_simulate(grid, P_CONV1, s)
+        traj = lcm_simulate(coarsen(grid, 0), P_CONV1, s)
         np.testing.assert_allclose(traj.times, np.arange(9) * 0.125, rtol=0, atol=0)
         assert traj.values[0] == P_CONV1.I0
         assert traj.log_values[0] == math.log(P_CONV1.I0)
