@@ -165,6 +165,9 @@ def parse_config(path):
         kwargs["trunc_i0"] = optional("truncation", "I0", _parse_float_list,
                                       (model.I0,))
         kwargs["horizon"] = optional("truncation", "horizon", _parse_float, None)
+    for key in ("t_final", "horizon"):  # serialize_config writes neither inf nor nan
+        if not math.isfinite(kwargs.get(key) or 0.0):
+            raise ConfigError(f"{key} must be finite and positive, got {kwargs[key]!r}")
 
     sets = {}
     for name in cp.sections():

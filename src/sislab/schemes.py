@@ -11,17 +11,14 @@ bookkeeping here records exactly where that happens instead of hiding it.
 
 Each scheme has one batch kernel, lcm_evolve and milstein_evolve; the
 single-path lcm_simulate is a 1-row view of the first, so a path run alone
-is bit-identical to the same path run as a row of a batch. Both kernels step
-in place (every operation of a step writes into a preallocated row) on one
-tile walker. Once per tile of steps it transposes dW to step-major order in
-slabs of 64 or more paths and rebuilds dZeta = (dW^2 - h) / 2, so that each
-step reads its h, dW and dZeta as one contiguous 3-row operand; with
-record=True the kernels step straight into one step-major array of every
-state. lcm_evolve steps at the scheme's h, with the constants log_coeffs and
-the regime thresholds read, and takes one ModelParams per group of rows, so
-many parameter sets step on shared increments in one call. Its per-group floor
-on y before np.exp, checked to leave f and g exact, spares extinct rows
-subnormal e^y and changes no step whose sum is not near 0.
+is bit-identical to the same path run as a row of a batch (a 1-row call steps
+two copies of its row, which costs less per step). Both kernels step in place,
+each operation of a step writing into a preallocated row, on one tile walker:
+per tile of steps it transposes dW into one step-major (h, dW, dZeta) operand
+that every parameter group of lcm_evolve meets, the kernel steps a tile-sized
+state buffer, and record=True copies each finished tile out. lcm_evolve's
+per-group floor on y before np.exp, checked to leave f and g exact, spares
+extinct rows subnormal e^y and changes no step whose sum is not near 0.
 """
 
 from __future__ import annotations
@@ -91,9 +88,9 @@ class LcmBatch:
     flags: np.ndarray | None
 
 
-# Rows x steps of one tile. A tile holds three doubles per row-step, its h,
-# dW and dZeta operands, and at most one more, dW's step-major copy: 4 x 2^15
-# doubles (1 MiB) in all.
+# Rows x steps of one tile. A tile holds the state after each of its steps
+# and, per row of dw, its h, dW and dZeta operands: at most 4 x 2^15 doubles
+# (1 MiB) in all.
 _TILE_DOUBLES = 1 << 15
 # Doubles of dw per transposing copy, in at least 64 paths: 64 paths of a
 # 32-step tile, more paths of a shorter one. In one strided copy, a tile of a
@@ -109,56 +106,41 @@ def _tile_steps(n_rows, steps):
     return max(1, min(steps, _TILE_DOUBLES // max(n_rows, 1)))
 
 
-def _step_rows(cache, record, *tiles):
-    """The rows of tiles step by step, zipped. Without record every tile is a
-    prefix of the same buffers, so the first tile's rows are kept in cache."""
-    if record:
-        return zip(*tiles)
-    if not cache:
-        cache[:] = zip(*tiles)
-    return cache[:len(tiles[-1])]
-
-
-def _walk_tiles(start, dw, h, groups, record, step_tile):
-    """Step start's rows (row g W + r reads row r of dw) tile by tile.
-
-    step_tile(k, states, m) steps one tile: m[j] holds step j's h, dW and
-    dZeta = (dW^2 - h) / 2 as three contiguous rows, and it writes the state
-    after step j into states[j + 1] from states[0], which is row k of a buffer
-    of every state with record (k is the tile's first step), else of one tile
-    (k = 0). m, and states without record, are prefixes of the same buffers
-    on every tile.
-    Returns that recording transposed (None unless record) and final states.
+def _walk_tiles(start, dw, h, record, step_tile):
+    """Step start's rows on the increments dw, tile by tile: step_tile(k,
+    states, m) steps the tile from step k, where m[j] holds step j's h, dW and
+    dZeta = (dW^2 - h) / 2 as three contiguous rows of dw's width, and it
+    writes the state after step j into states[j + 1] from states[0]. states
+    and m are prefixes of the same tile-sized buffers on every tile, so a
+    kernel may cache its per-step views of the first, longest, tile.
+    Returns every state, transposed from a step-major copy of each finished
+    tile (None unless record), and the final states.
     """
     width, steps = dw.shape
-    n_rows = len(start)
-    tile = _tile_steps(n_rows, steps)
-    states = np.empty((steps + 1 if record else tile + 1, n_rows))
-    states[0] = start
-    # one block for both, mapped and returned to the system as one: as two,
-    # the smaller could stay resident on the heap once freed (violation's
-    # in-process run held 0.16 MB more after its call)
-    buf = np.empty(tile * (3 * n_rows + width))
-    hwz = buf[:3 * tile * n_rows].reshape(tile, 3, n_rows)
-    hwz[:, 0] = h
-    w_tile = buf[3 * tile * n_rows:].reshape(tile, width)
+    tile = _tile_steps(len(start), steps)
+    states = np.empty((tile + 1, len(start)))
+    rec = np.empty((steps + 1, len(start))) if record else states
+    states[0] = rec[0] = start
+    m = np.empty((tile, 3, width))
+    m[:, 0] = h
     for k0 in range(0, steps, tile):
         n = min(tile, steps - k0)
-        w, m = w_tile[:n], hwz[:n]
+        # dW and dZeta formed on contiguous rows, those of states this tile has yet
+        # to write: ufuncs on m's interleaved rows cost 2.5-3.5x more per element
+        w = states[1:n + 1].reshape(-1)[:n * width].reshape(n, width)
         slab = max(64, _SLAB_DOUBLES // n)
         for r0 in range(0, width, slab):
             np.copyto(w[:, r0:r0 + slab], dw[r0:r0 + slab, k0:k0 + n].T)
-        # every group reads the same increments
-        np.copyto(m[:, 1].reshape(n, groups, width), w[:, None])
-        np.multiply(w, w, w)  # dZeta, in place of dW, on contiguous rows
+        np.copyto(m[:n, 1], w)
+        np.multiply(w, w, w)
         w *= 0.5
         w -= 0.5 * h
-        np.copyto(m[:, 2].reshape(n, groups, width), w[:, None])
-        k = k0 if record else 0
-        step_tile(k, states[k:k + n + 1], m)
-        if not record:
-            states[0] = states[n]
-    return (states.T if record else None), states[-1 if record else 0].copy()
+        np.copyto(m[:n, 2], w)
+        step_tile(k0, states[:n + 1], m[:n])
+        if record:
+            rec[k0 + 1:k0 + n + 1] = states[1:n + 1]
+        states[0] = states[n]
+    return (rec.T if record else None), states[0].copy()
 
 
 def _exp_floor(a1, _, a2, c0, n, neg_s2):
@@ -179,10 +161,9 @@ def lcm_evolve(y0, dw, p, s, record=False, steps_done=0):
     increment path and one column per step, and every group runs on all of
     it: row g W + r of the batch uses p[g] and row r of dw, so y0, y_final,
     trunc_counts and the recordings have G W rows (G = 1 for one ModelParams).
-    dZeta = (dW^2 - h) / 2 is rebuilt from dw internally. With record=True,
-    y_snaps holds every state from the initial one and flags each truncated
-    step, as transposed views of step-major arrays (not C-contiguous);
-    otherwise both are None.
+    With record=True, y_snaps holds every state from the initial one and
+    flags each truncated step, as transposed views of step-major arrays (not
+    C-contiguous); otherwise both are None.
     A run split at any step and resumed from y_final equals one call bit for
     bit (trunc_counts add up), so callers may feed increments in time blocks.
     Non-finite start states or increments raise ValueError, and a state that
@@ -192,13 +173,16 @@ def lcm_evolve(y0, dw, p, s, record=False, steps_done=0):
 
     Each step is np.exp(max(y, _exp_floor)), log_coeffs' operations in order
     and grouping and the Milstein update ((y + f h) + g dW) + g g' dZeta, each
-    a ufunc call into a preallocated row; truncations are counted once per tile.
+    a ufunc call into a preallocated row (for G > 1, (3, G, W) rows of f h, g dW
+    and g g' dZeta against one (3, 1, W) operand); truncations count per tile.
     The floor moves only g g', by 2^-1000 at most, so a step differs only where
     (y + f h) + g dW is within 2^-946 |dZeta| of 0.
     """
-    dw = np.asarray(dw, dtype=np.float64)
-    width, steps = dw.shape
     groups = [p] if isinstance(p, ModelParams) else list(p)
+    dw = np.asarray(dw, dtype=np.float64)
+    pad = len(groups) * len(dw) == 1  # a step costs less on two rows than on one
+    dw = dw.repeat(2, axis=0) if pad else dw
+    width, steps = dw.shape
     n_rows = len(groups) * width
     start = np.full(n_rows, y0, dtype=np.float64)
     if not (np.isfinite(start).all() and np.isfinite(dw).all()):
@@ -223,15 +207,17 @@ def lcm_evolve(y0, dw, p, s, record=False, steps_done=0):
     en = np.empty((2, n_rows))  # e^y and N - e^y
     fgg = np.empty((3, n_rows))  # f, g and g g', then f h, g dW and g g' dZeta
     (ex, n_ex), (fy, gy, ggy), fg = en, fgg, fgg[:2]
-    hit_rows = np.empty((steps if record else _tile_steps(n_rows, steps), n_rows), bool)
+    fgw = fgg if len(groups) == 1 else fgg.reshape(3, len(groups), width)
+    hits = np.empty((_tile_steps(n_rows, steps), n_rows), bool)
+    flags = np.empty((steps, n_rows), bool) if record else None
     # ufuncs with the output as third argument, cheaper to call than out=
     exp, mul, add, sub, ge = np.exp, np.multiply, np.add, np.subtract, np.greater_equal
-    done = [steps_done]  # steps of the run before this tile
     views = []
 
     def step_tile(k, states, m):
-        hits = hit_rows[k:k + len(m)]
-        for y, nxt, hit, m_k in _step_rows(views, record, states, states[1:], hits, m):
+        if not views:
+            views[:] = zip(states, states[1:], hits, m if fgw is fgg else m[:, :, None])
+        for y, nxt, hit, m_k in views[:len(m)]:
             # log_coeffs: f = (-s2/2 e^y + (s2 N - beta)) e^y + c0,
             # g = sigma (N - e^y), g g' = -s2 e^y (N - e^y)
             exp(np.maximum(y, floor, out=ex), ex)  # a positional out is deprecated here
@@ -243,25 +229,29 @@ def lcm_evolve(y0, dw, p, s, record=False, steps_done=0):
             mul(neg_s2, ex, ggy)
             mul(ggy, n_ex, ggy)
             # y + f h + g dW + g g' dZeta, reset at or above log N
-            mul(fgg, m_k, fgg)
+            mul(fgw, m_k, fgw)
             add(y, fy, nxt)
             add(nxt, gy, nxt)
             add(nxt, ggy, nxt)
             ge(nxt, log_n, hit)
             np.copyto(nxt, reset, where=hit)
-        if hits.any():
-            counts[...] += hits.sum(axis=0)
+        tile_hits = hits[:len(m)]
+        if record:
+            flags[k:k + len(m)] = tile_hits
+        for j in range(0, len(m) if tile_hits.any() else 0, 255):  # exact in uint8
+            counts[...] += tile_hits[j:j + 255].view(np.uint8).sum(axis=0, dtype=np.uint8)
         # -inf and NaN persist, +inf is reset: the last states show every bad row
         if not np.isfinite(states[-1]).all():
             row = np.flatnonzero(~np.isfinite(states[-1]))[0]
-            at = done[0] + np.argmin(np.isfinite(states[:, row]))
+            at = steps_done + k + np.argmin(np.isfinite(states[:, row]))
             raise PreconditionError(f"Y is not finite on row {row} from step {at} on")
-        done[0] += len(m)
 
     with np.errstate(over="ignore", invalid="ignore"):  # step_tile raises on them
-        snaps, final = _walk_tiles(start, dw, s.h, len(groups), record, step_tile)
-    return LcmBatch(y_snaps=snaps, y_final=final, trunc_counts=counts,
-                    flags=hit_rows.T if record else None)
+        snaps, final = _walk_tiles(start, dw, s.h, record, step_tile)
+    out = LcmBatch(snaps, final, counts, flags.T if record else None)
+    if pad:  # row 0 of the two
+        out = LcmBatch(*(a if a is None else a[:1] for a in vars(out).values()))
+    return out
 
 
 def lcm_simulate(inc, p, s):
@@ -306,6 +296,8 @@ def milstein_evolve(i0, dw, h, p, record=False):
     sum, difference or product of a non-finite operand is finite.
     """
     dw = np.asarray(dw, dtype=np.float64)
+    pad = len(dw) == 1  # a step costs less on two rows than on one
+    dw = dw.repeat(2, axis=0) if pad else dw
     n_paths = len(dw)
     violated = np.zeros(n_paths, dtype=bool)
     # c = beta N - (mu + gamma), formed as drift_original forms it; each
@@ -322,8 +314,9 @@ def milstein_evolve(i0, dw, h, p, record=False):
     mul, sub, add = np.multiply, np.subtract, np.add
 
     def step_tile(k, states, m):
-        new = states[1:]
-        for I, nxt, m_k in _step_rows(views, record, states, new, m):
+        if not views:
+            views[:] = zip(states, states[1:], m)
+        for I, nxt, m_k in views[:len(m)]:
             # x = beta I, I, 2 I, I, sigma I, sigma (I twice: x[:3] and x[3:] are
             # one operand each); ab = a = I (c - beta I), b = (sigma I) (N - I) and
             # b b' with b' = sigma (N - 2 I), then a h, b dW and b b' dZeta
@@ -335,10 +328,13 @@ def milstein_evolve(i0, dw, h, p, record=False):
             add(I, ah, nxt)
             add(nxt, bw, nxt)
             add(nxt, bbz, nxt)
+        new = states[1:]
         violated[...] |= ~((new >= 0.0) & (new <= p.N)).all(axis=0)  # NaN flags too
         np.copyto(new, np.nan, where=~np.isfinite(new))
 
+    start = np.full(n_paths, i0, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        snaps, i_final = _walk_tiles(np.full(n_paths, i0, dtype=np.float64), dw, h,
-                                     1, record, step_tile)
-    return MilsteinBatch(i_snaps=snaps, i_final=i_final, violated=violated)
+        out = MilsteinBatch(*_walk_tiles(start, dw, h, record, step_tile), violated)
+    if pad:  # row 0 of the two
+        out = MilsteinBatch(*(a if a is None else a[:1] for a in vars(out).values()))
+    return out

@@ -393,15 +393,18 @@ class TestCliErrors:
         # 2.0 ** 1024 exited 1 with OverflowError
         ("dynamics", DYN_EXT_CFG.replace("h = 2^-2", "h = 2^1024"),
          "scheme.h: cannot parse number '2^1024'"),
-        # a non-finite horizon exited 1 with round()'s OverflowError or ValueError
+        # a non-finite horizon exited 1 with round()'s OverflowError or ValueError;
+        # parse_config now rejects it, also a t_final that truncation's own
+        # horizon leaves unused (serialize_config could not write it back)
         *((command, text.replace(old, f"{key} = {bad}"),
            f"{key} must be finite and positive, got {bad}")
           for command, text, old, key in (
               ("simulate", DYN_EXT_CFG, "t_final = 5", "t_final"),
               ("dynamics", DYN_EXT_CFG, "t_final = 5", "t_final"),
               ("convergence", CONV_CFG, "t_final = 1", "t_final"),
-              ("truncation", TRUNC_CFG, "horizon = 5", "horizon"))
-          for bad in ("inf", "nan")),
+              ("truncation", TRUNC_CFG, "horizon = 5", "horizon"),
+              ("truncation", TRUNC_CFG, "t_final = 5", "t_final"))
+          for bad in ("inf", "-inf", "nan")),
         # float64 cannot hold sigma^2 N^2 or sigma^2: simulate wrote NaN with
         # exit 0, and dynamics exited 1 on reproduction_numbers' OverflowError
         *((command, DYN_EXT_CFG.replace(old, new), "model: a constant derived")

@@ -547,6 +547,69 @@ class TestSplitRuns:
             assert one.y_final[0] == out.y_final[i]
 
 
+class TestOneRowCalls:
+    """A 1-row kernel call steps two copies of its row, which costs less per
+    step, and returns row 0 alone: it must equal row 0 of the 2-row call, and
+    the per-step reference, bit for bit, across tiles and with recording."""
+
+    S = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
+    TRUNCATING = ModelParams(N=100, beta=0.42, sigma=0.01, mu_plus_gamma=10.0, I0=10.0)
+
+    @staticmethod
+    def assert_row_zero(one, two):
+        for a, b in zip(vars(one).values(), vars(two).values()):
+            if b is None:
+                assert a is None
+            else:
+                assert len(a) == 1
+                np.testing.assert_array_equal(a, b[:1])
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("budget", [None, 64])  # 600 steps in one tile or 19
+    def test_lcm(self, monkeypatch, record, budget):
+        if budget is not None:
+            monkeypatch.setattr(schemes, "_TILE_DOUBLES", budget)
+        p = self.TRUNCATING
+        dw = np.random.default_rng(8).normal(0.0, 0.5, size=(1, 600))
+        ref, flags = lcm_reference(math.log(p.I0), dw, p, self.S)
+        two = lcm_evolve(math.log(p.I0), np.vstack([dw, dw]), p, self.S, record=record)
+        for y0, q in ((math.log(p.I0), p), (np.array([math.log(p.I0)]), [p])):
+            one = lcm_evolve(y0, dw, q, self.S, record=record, steps_done=7)
+            self.assert_row_zero(one, two)
+            np.testing.assert_array_equal(one.y_final, ref[:, -1])
+            np.testing.assert_array_equal(one.trunc_counts, flags.sum(axis=1))
+            if record:
+                np.testing.assert_array_equal(one.y_snaps, ref)
+                np.testing.assert_array_equal(one.flags, flags)
+        # more truncations in one tile than one uint8 sum of 255 steps can count
+        assert flags.sum() > 255
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("budget", [None, 64])
+    def test_milstein(self, monkeypatch, record, budget):
+        # at h = 1/4 the direct scheme leaves [0, N], then overflows to NaN
+        if budget is not None:
+            monkeypatch.setattr(schemes, "_TILE_DOUBLES", budget)
+        dw = np.random.default_rng(9).normal(0.0, 0.5, size=(1, 300))
+        ref, violated, exploded = milstein_reference([P_EXT.I0], dw, 0.25, P_EXT)
+        two = milstein_evolve(P_EXT.I0, np.vstack([dw, dw]), 0.25, P_EXT, record=record)
+        for i0 in (P_EXT.I0, np.array([P_EXT.I0])):
+            one = milstein_evolve(i0, dw, 0.25, P_EXT, record=record)
+            self.assert_row_zero(one, two)
+            np.testing.assert_array_equal(one.i_final, ref[:, -1])
+            np.testing.assert_array_equal(one.violated, violated)
+            if record:
+                np.testing.assert_array_equal(one.i_snaps, ref)
+        assert violated[0] and exploded[0]
+
+    def test_lcm_state_leaving_float64_names_row_0(self):
+        huge = ModelParams(N=1e150, beta=0.6, sigma=1.0, mu_plus_gamma=40.0, I0=10.0)
+        s = SchemeParams(h=2.0**20, alpha=0.1, theta=2.0)
+        dw = np.random.default_rng(5).normal(0.0, 2.0**10, size=(1, 400))
+        with pytest.raises(PreconditionError, match="row 0 from step 343 on"):
+            lcm_evolve(math.log(10.0), dw, huge, s)
+
+
 class TestNonFiniteInput:
     S = SchemeParams(h=0.25, alpha=0.1, theta=2.0)
 

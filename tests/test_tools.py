@@ -48,7 +48,8 @@ def test_kernel_bench_runs_small():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split()[2:4] == ["lcm_evolve", "milstein_evolve"]
-    assert header.split()[4:7] == ["lcm_evolve_x12", "lcm_evolve_rec", "lcm_evolve_extinct"]
+    assert header.split()[4:8] == ["lcm_evolve_x12", "lcm_evolve_rec", "lcm_evolve_extinct",
+                                   "milstein_evolve_rec"]
     assert [row.split()[:2] for row in rows] == [
         ["1", "64"], ["25", "2"], ["64", "1"], ["128", "1"], ["512", "1"], ["1024", "1"],
         ["8192", "1"]]

@@ -12,6 +12,9 @@ second half of a run: in record=True calls of REC_BLOCK (128) steps, each
 from the last one's final states, keeping every state and truncation flag.
 The lcm_evolve_extinct column steps table 4's set 4 from Y = -720, where
 e^Y is subnormal and lcm_evolve's exp floor (about -693.8) holds every row.
+The milstein_evolve_rec column steps each cell in one record=True call of at
+most 4,096 steps, the calls sislab.analysis.write_trajectory's direct branch
+makes (on one row).
 The default run takes under fifteen seconds. Dev-only; not part of the
 package:
 
@@ -55,6 +58,7 @@ KERNELS = {
         len(TABLE4)),
     "lcm_evolve_rec": (lcm_recorded_blocks, 1),
     "lcm_evolve_extinct": (lambda dw: lcm_evolve(-720.0, dw, SET4, S), 1),
+    "milstein_evolve_rec": (lambda dw: milstein_evolve(P.I0, dw, S.h, P, record=True), 1),
 }
 WIDTHS = (1, 25, 64, 128, 512, 1024, 8192)
 MAX_STEPS = 4096
